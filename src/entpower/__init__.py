@@ -6,6 +6,9 @@ by U^n decays with n, where it saturates, and how both relate to the
 spectral form factor.
 """
 
+# set before the submodule imports: montecarlo reports it in run metadata
+__version__ = "0.1.0"
+
 from .closedform import (
     CaseTag,
     FitResult,
@@ -58,15 +61,10 @@ from .montecarlo import (
     ExperimentKind,
     ResultRow,
     ResultTable,
-    RunningStats,
     StateMode,
     run_experiment,
-    stats_merge,
-    stats_update,
     z_score,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BipartiteDims",
@@ -111,9 +109,6 @@ __all__ = [
     "ExperimentKind",
     "StateMode",
     "ExperimentConfig",
-    "RunningStats",
-    "stats_update",
-    "stats_merge",
     "ResultRow",
     "ResultTable",
     "run_experiment",

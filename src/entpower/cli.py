@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -327,6 +328,8 @@ def _cmd_verify(opts: dict) -> int:
             f"no closed-form target for {kind_name} with ensemble {cfg.ensemble.value} "
             f"and state mode {cfg.state_mode.value}")
     gate = opts.get("gate_sigma", 5.0)
+    if not (math.isfinite(gate) and gate > 0):
+        raise ConfigError(f"--gate-sigma must be finite and > 0, got {gate}")
     table = run_experiment(cfg, parallelism=opts.get("parallelism", 1))
     failures = 0
     for n, label, target in targets:

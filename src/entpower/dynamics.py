@@ -5,6 +5,11 @@ U = Z diag(e^{i phi}) Z^dag with Z unitary.  Powers act on the phases
 alone, which makes the whole trajectory n = 1..n_max one dense matrix
 product, and gives closed access to the n -> infinity time average of
 the linear entropy via second-order phase resonances.
+
+One synthesis serves states and operators: a trajectory is
+sum_k basis_k c_k e^{i n phi_k}.  States take the eigenvectors z_k with
+c_k = <z_k|psi>; operators take the Choi vectors of the eigenprojectors
+|z_k><z_k| with c_k = 1/sqrt(d), which gives vec(U^n) / sqrt(d).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .ensembles import BipartiteDims, EnsembleTag, PureState, UnitaryMatrix
-from .entanglement import operator_purity, purity_batch
+from .entanglement import _b_major, _reshuffled, purity_batch, reduced_density_batch
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -85,18 +90,31 @@ def spectral_decompose(u: UnitaryMatrix) -> SpectralDecomposition:
     return spec
 
 
+def _synthesize(basis: np.ndarray, phases: np.ndarray, coeffs: np.ndarray,
+                ns: np.ndarray) -> np.ndarray:
+    """sum_k basis[..., k] coeffs[k] e^{i n phases[k]}, one per n in ns along the last axis."""
+    return basis @ (np.exp(1j * np.outer(phases, ns)) * coeffs[:, None])
+
+
+def _projectors(spec: SpectralDecomposition) -> np.ndarray:
+    """Eigenprojectors |z_k><z_k| stacked along the last axis, shape (d, d, d)."""
+    z = spec.vectors
+    return z[:, None, :] * z.conj()[None, :, :]
+
+
 def matrix_power(spec: SpectralDecomposition, n: int) -> UnitaryMatrix:
     """U^n synthesized from the eigenbasis, sum_a e^{i n phi_a} |z_a><z_a|.
 
-    One decomposition then O(d^2) phase work plus a product per power;
-    repeated direct multiplication (numpy matrix_power) is the oracle
-    this is checked against, not the implementation.
+    vec(U^n) comes from the shared synthesis over the vectorized
+    eigenprojectors, O(d^3) per power after one decomposition; repeated
+    direct multiplication (numpy matrix_power) is the oracle this is
+    checked against, not the implementation.
     """
     if n < 0:
         raise ValueError(f"power must be >= 0, got {n}")
-    z = spec.vectors
-    entries = (z * np.exp(1j * n * spec.phases)) @ z.conj().T
-    return UnitaryMatrix(spec.dims, entries, EnsembleTag.FIXED)
+    d = spec.dims.d
+    vec_un = _synthesize(_projectors(spec).reshape(d * d, d), spec.phases, np.ones(d), np.array([n]))
+    return UnitaryMatrix(spec.dims, vec_un.reshape(d, d), EnsembleTag.FIXED)
 
 
 @dataclass(eq=False)
@@ -113,12 +131,9 @@ class EntropySeries:
             raise ValueError("ns and values must be matching 1d arrays")
 
 
-def _eigenbasis_states(spec: SpectralDecomposition, psi: PureState,
-                       ns: np.ndarray) -> np.ndarray:
-    """Columns U^n psi for each n, synthesized from the eigenbasis."""
-    c = spec.vectors.conj().T @ psi.amplitudes
-    phase_table = np.exp(1j * np.outer(spec.phases, ns))
-    return spec.vectors @ (phase_table * c[:, None])
+def _state_orbit(spec: SpectralDecomposition, psi: PureState, ns: np.ndarray) -> np.ndarray:
+    """Columns U^n psi for each n in ns, shape (d, len(ns))."""
+    return _synthesize(spec.vectors, spec.phases, spec.vectors.conj().T @ psi.amplitudes, ns)
 
 
 def entropy_series(u: UnitaryMatrix, psi: PureState, n_max: int) -> EntropySeries:
@@ -129,27 +144,31 @@ def entropy_series(u: UnitaryMatrix, psi: PureState, n_max: int) -> EntropySerie
         raise ValueError(f"state dims {psi.dims} do not match unitary dims {u.dims}")
     spec = spectral_decompose(u)
     ns = np.arange(1, n_max + 1)
-    states = _eigenbasis_states(spec, psi, ns)
-    values = 1.0 - purity_batch(states, u.dims.d_a, u.dims.d_b)
+    values = 1.0 - purity_batch(_state_orbit(spec, psi, ns), u.dims.d_a, u.dims.d_b)
     return EntropySeries(ns, values)
 
 
 def operator_entanglement_series(u: UnitaryMatrix, n_max: int) -> EntropySeries:
     """Operator entanglement of U^n for n = 1..n_max.
 
-    Decomposes once and synthesizes each power from the phases, the
-    same route the entropy series takes.
+    Decomposes once and synthesizes the Choi vectors vec(U^n) / sqrt(d)
+    of every power from the reshuffled eigenprojectors, the same route
+    the entropy series takes for states; their linear entropies across
+    (A_out A_in | B_out B_in) are the operator entanglements.  Memory is
+    O(d^3 + d^2 n_max): d projector columns and n_max Choi columns, each
+    of length d^2.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     spec = spectral_decompose(u)
-    d_a, d_b = u.dims.d_a, u.dims.d_b
-    values = np.empty(n_max)
-    zh = spec.vectors.conj().T
-    for k in range(n_max):
-        un = (spec.vectors * np.exp(1j * (k + 1) * spec.phases)) @ zh
-        values[k] = 1.0 - operator_purity(un, d_a, d_b)
-    return EntropySeries(np.arange(1, n_max + 1), values)
+    d_a, d_b, d = u.dims.d_a, u.dims.d_b, u.dims.d
+    ns = np.arange(1, n_max + 1)
+    # stacked over (a1 a2): one (d^2, d) x (d, n_max) product is large
+    # enough at d = 20 for OpenBLAS to wake its threads, which then spin
+    # between calls and double the CPU time for no wall-time gain
+    basis = _reshuffled(_projectors(spec), d_a, d_b).reshape(d_a * d_a, d_b * d_b, d)
+    choi = _synthesize(basis, spec.phases, np.full(d, d ** -0.5), ns).reshape(d * d, n_max)
+    return EntropySeries(ns, 1.0 - purity_batch(choi, d_a * d_a, d_b * d_b))
 
 
 def time_average_entropy(u: UnitaryMatrix, psi: PureState, n_total: int = 100_000) -> float:
@@ -169,8 +188,7 @@ def time_average_entropy(u: UnitaryMatrix, psi: PureState, n_total: int = 100_00
     total = 0.0
     for start in range(1, n_total + 1, _TIME_AVERAGE_CHUNK):
         ns = np.arange(start, min(start + _TIME_AVERAGE_CHUNK, n_total + 1))
-        states = _eigenbasis_states(spec, psi, ns)
-        total += float(np.sum(1.0 - purity_batch(states, d_a, d_b)))
+        total += float(np.sum(1.0 - purity_batch(_state_orbit(spec, psi, ns), d_a, d_b)))
     return total / n_total
 
 
@@ -205,7 +223,8 @@ def asymptotic_entropy_spectral(u: UnitaryMatrix, psi: PureState) -> float:
         <S_L> = 1 - sum_ab p_a p_b (T^A_ab + T^B_ab) + sum_a p_a^2 T^A_aa
 
     where T^A_ab = tr(rho_A^a rho_A^b) for the eigenvector reduced
-    density matrices, and likewise for B.  The diagonal correction
+    density matrices, and likewise for B.  Each T is the Gram matrix
+    of the flattened (Hermitian) rho^a.  The diagonal correction
     removes the double count of the a = b pairing (T^A_aa = T^B_aa).
     Requires a nondegenerate, nonresonant spectrum.
     """
@@ -213,14 +232,13 @@ def asymptotic_entropy_spectral(u: UnitaryMatrix, psi: PureState) -> float:
         raise ValueError(f"state dims {psi.dims} do not match unitary dims {u.dims}")
     spec = spectral_decompose(u)
     _check_nonresonant(spec.phases)
-    d_a, d_b = u.dims.d_a, u.dims.d_b
-    c = spec.vectors.conj().T @ psi.amplitudes
-    p = np.abs(c) ** 2
-    m = spec.vectors.T.reshape(u.dims.d, d_a, d_b)
-    cross_a = np.einsum("xrs,yrt->xyst", m.conj(), m)
-    t_a = np.sum(np.abs(cross_a) ** 2, axis=(2, 3))
-    cross_b = np.einsum("xab,yeb->xyae", m.conj(), m)
-    t_b = np.sum(np.abs(cross_b) ** 2, axis=(2, 3))
+    d_a, d_b, d = u.dims.d_a, u.dims.d_b, u.dims.d
+    z = spec.vectors
+    p = np.abs(z.conj().T @ psi.amplitudes) ** 2
+    rho_a = reduced_density_batch(z, d_a, d_b).reshape(d, -1)
+    rho_b = reduced_density_batch(_b_major(z, d_a, d_b), d_b, d_a).reshape(d, -1)
+    t_a = (rho_a @ rho_a.conj().T).real
+    t_b = (rho_b @ rho_b.conj().T).real
     avg_purity = p @ (t_a + t_b) @ p - np.dot(p * p, np.diagonal(t_a))
     return float(1.0 - avg_purity)
 

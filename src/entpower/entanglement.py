@@ -1,13 +1,16 @@
 """Linear entropy of states and operator entanglement of unitaries.
 
-Everything here reduces to squared Frobenius norms.  For a state with
-amplitude matrix M (shape (d_a, d_b), A-major flattening) the reduced
-density matrix is rho_A = M M^dag and
+One kernel forms every reduced density matrix in the package.  A
+column state with amplitude matrix M (shape (d_a, d_b), A-major
+flattening) has rho_A = M M^dag; :func:`reduced_density_batch` does this
+for a whole batch of columns as one batched matmul, and
 
     S_L = 1 - tr rho_A^2 = 1 - ||M M^dag||_F^2.
 
-For a unitary, tr_2[(U (x) U^*)-type contractions] collapse to the same
-structure after the reshuffle R(U), see :func:`operator_entanglement`.
+Operators go through the same kernel.  The Choi vector vec(U) / sqrt(d),
+indexed (A_out A_in | B_out B_in), is the reshuffle R(U) / sqrt(d)
+flattened; it is a unit vector whose linear entropy across that split
+is the operator entanglement of U (Zanardi, PRA 63, 040304(R) (2001)).
 """
 
 from __future__ import annotations
@@ -47,57 +50,51 @@ class ReducedDensityMatrix:
         return float(np.sum(np.abs(self.entries) ** 2))
 
 
-def _amplitude_matrix(psi: PureState) -> np.ndarray:
-    return psi.amplitudes.reshape(psi.dims.d_a, psi.dims.d_b)
+def reduced_density_batch(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """rho_A = M M^dag for a batch of column states, shape (d, n) -> (n, d_a, d_a).
 
-
-def reduced_density_a(psi: PureState) -> ReducedDensityMatrix:
-    """rho_A = tr_B |psi><psi| = M M^dag."""
-    m = _amplitude_matrix(psi)
-    return ReducedDensityMatrix(psi.dims.d_a, m @ m.conj().T)
-
-
-def reduced_density_b(psi: PureState) -> ReducedDensityMatrix:
-    """rho_B = tr_A |psi><psi| = M^T M^*."""
-    m = _amplitude_matrix(psi)
-    return ReducedDensityMatrix(psi.dims.d_b, m.T @ m.conj())
-
-
-def purity_from_amplitudes(amplitudes: np.ndarray, d_a: int, d_b: int) -> float:
-    """tr rho_A^2 for a flat amplitude vector, without building rho_A.
-
-    ||M M^dag||_F^2 costs O(d_a^2 d_b); cheaper than squaring rho_A when
-    d_b is the large factor.
+    A single state of shape (d,) counts as one column.
     """
-    m = amplitudes.reshape(d_a, d_b)
-    g = m @ m.conj().T
-    return float(np.sum(np.abs(g) ** 2))
+    m = states.T.reshape(-1, d_a, d_b)
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def purity_batch(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """tr rho_A^2 for a batch of column states, shape (d, n) -> (n,)."""
-    m = states.reshape(d_a, d_b, -1)
-    g = np.einsum("abn,cbn->acn", m, m.conj())
-    return np.sum(np.abs(g) ** 2, axis=(0, 1)).real
+    return np.sum(np.abs(reduced_density_batch(states, d_a, d_b)) ** 2, axis=(1, 2))
+
+
+def _b_major(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    # psi[(a b)] -> psi[(b a)] for each column: the kernel then traces out A
+    return states.reshape(d_a, d_b, -1).swapaxes(0, 1).reshape(d_a * d_b, -1)
+
+
+def _reshuffled(ops: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Column Choi vectors vec R(O) of operators ops[:, :, k], shape (d^2, k).
+
+    A single (d, d) operator gives one column.
+    """
+    # O[(a1 b1), (a2 b2)] -> R[(a1 a2), (b1 b2)]
+    o = ops.reshape(d_a, d_b, d_a, d_b, -1)
+    return o.transpose(0, 2, 1, 3, 4).reshape(d_a * d_a * d_b * d_b, -1)
+
+
+def reduced_density_a(psi: PureState) -> ReducedDensityMatrix:
+    """rho_A = tr_B |psi><psi| = M M^dag."""
+    d_a, d_b = psi.dims.d_a, psi.dims.d_b
+    return ReducedDensityMatrix(d_a, reduced_density_batch(psi.amplitudes, d_a, d_b)[0])
+
+
+def reduced_density_b(psi: PureState) -> ReducedDensityMatrix:
+    """rho_B = tr_A |psi><psi| = M^T M^*."""
+    d_a, d_b = psi.dims.d_a, psi.dims.d_b
+    states = _b_major(psi.amplitudes, d_a, d_b)
+    return ReducedDensityMatrix(d_b, reduced_density_batch(states, d_b, d_a)[0])
 
 
 def linear_entropy(psi: PureState) -> float:
     """Linear entropy S_L(psi) = 1 - tr rho_A^2, in [0, 1 - 1/min(d_a, d_b)]."""
-    return 1.0 - purity_from_amplitudes(psi.amplitudes, psi.dims.d_a, psi.dims.d_b)
-
-
-def _reshuffled(entries: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    # U[(a1 b1), (a2 b2)] -> R[(a1 a2), (b1 b2)]
-    u4 = entries.reshape(d_a, d_b, d_a, d_b)
-    return u4.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
-
-
-def operator_purity(entries: np.ndarray, d_a: int, d_b: int) -> float:
-    """||R R^dag||_F^2 / d^2 with R the reshuffle of U."""
-    r = _reshuffled(entries, d_a, d_b)
-    g = r @ r.conj().T
-    d = d_a * d_b
-    return float(np.sum(np.abs(g) ** 2)) / (d * d)
+    return float(1.0 - purity_batch(psi.amplitudes, psi.dims.d_a, psi.dims.d_b)[0])
 
 
 def operator_entanglement(u: UnitaryMatrix) -> float:
@@ -107,12 +104,14 @@ def operator_entanglement(u: UnitaryMatrix) -> float:
     coefficients across the split are the singular values of the
     reshuffled matrix R(U) / sqrt(d), so
 
-        S_L(U) = 1 - ||R R^dag||_F^2 / d^2.
+        S_L(U) = 1 - ||R R^dag||_F^2 / d^2,
 
-    Zero iff U is a product U_A (x) U_B.
+    the linear entropy of the Choi vector.  Zero iff U is a product
+    U_A (x) U_B.
     """
-    dims = u.dims
-    return 1.0 - operator_purity(u.entries, dims.d_a, dims.d_b)
+    d_a, d_b, d = u.dims.d_a, u.dims.d_b, u.dims.d
+    choi = _reshuffled(u.entries, d_a, d_b) / np.sqrt(d)
+    return float(1.0 - purity_batch(choi, d_a * d_a, d_b * d_b)[0])
 
 
 def operator_entanglement_naive(u: UnitaryMatrix) -> float:

@@ -19,6 +19,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from . import __version__
 from .closedform import CaseTag
 from .dynamics import (
     DegenerateSpectrumError,
@@ -46,9 +47,6 @@ __all__ = [
     "ExperimentKind",
     "StateMode",
     "ExperimentConfig",
-    "RunningStats",
-    "stats_update",
-    "stats_merge",
     "ResultRow",
     "ResultTable",
     "run_experiment",
@@ -57,6 +55,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 512
+# seeds become one 64-bit word of the Philox key
+_SEED_LIMIT = 2**64
 # fixed initial states draw from a stream index no sample index reaches
 _FIXED_STATE_STREAM = 2**63
 _ASYMPTOTIC_N = -1
@@ -117,8 +117,10 @@ class ExperimentConfig:
             raise ConfigError(f"samples must be >= 2, got {self.samples}")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not 0 <= self.master_seed < _SEED_LIMIT:
+            raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+        if self.fixed_state_seed is not None and not 0 <= self.fixed_state_seed < _SEED_LIMIT:
+            raise ConfigError(f"fixed_state_seed must be in [0, 2**64), got {self.fixed_state_seed}")
         if self.time_average_n < 1:
             raise ConfigError(f"time_average_n must be >= 1, got {self.time_average_n}")
         if self.kind in _STATE_KINDS:
@@ -157,46 +159,6 @@ class ExperimentConfig:
             if self.fixed_state_seed is None or self.fixed_state_field is FieldTag.REAL:
                 return CaseTag.C_COE_REAL
         return None
-
-
-@dataclass(frozen=True)
-class RunningStats:
-    """Streaming count / mean / sum of squared deviations."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def variance(self) -> float:
-        if self.count < 2:
-            return float("nan")
-        return self.m2 / (self.count - 1)
-
-    def stderr(self) -> float:
-        if self.count < 2:
-            return float("nan")
-        return float(np.sqrt(self.variance() / self.count))
-
-
-def stats_update(s: RunningStats, x: float) -> RunningStats:
-    """Welford single-pass update."""
-    count = s.count + 1
-    delta = x - s.mean
-    mean = s.mean + delta / count
-    return RunningStats(count, mean, s.m2 + delta * (x - mean))
-
-
-def stats_merge(a: RunningStats, b: RunningStats) -> RunningStats:
-    """Chan-style combination of two disjoint accumulators."""
-    if a.count == 0:
-        return b
-    if b.count == 0:
-        return a
-    count = a.count + b.count
-    delta = b.mean - a.mean
-    mean = a.mean + delta * (b.count / count)
-    m2 = a.m2 + b.m2 + delta * delta * (a.count * b.count / count)
-    return RunningStats(count, mean, m2)
 
 
 @dataclass(frozen=True)
@@ -331,21 +293,12 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
             "asymptotic estimate mixes spectral and direct averages")
     metadata = {
         "config": cfg.to_dict(),
-        "version": _pkg_version(),
+        "version": __version__,
         "wall_seconds": time.perf_counter() - t0,
         "fallback_count": fallbacks,
         "warnings": warnings,
     }
     return ResultTable(rows, metadata)
-
-
-def _pkg_version() -> str:
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version("entpower")
-    except PackageNotFoundError:
-        return "unknown"
 
 
 def z_score(observed_mean: float, observed_stderr: float, target) -> float:

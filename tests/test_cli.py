@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entpower import cli
 from entpower.cli import main, table_from_json, table_to_csv, table_to_json
 from entpower.closedform import CaseTag, ep1, ep_inf, op_ent_cue
 from entpower.ensembles import EnsembleTag
@@ -24,6 +25,25 @@ def test_usage_errors(capsys):
     assert main(["opent-curve", "--da", "2", "--db", "3", "--state", "fixed"]) == 2
     assert main(["verify", "--da", "2", "--db", "3"]) == 2  # no --kind
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    EP_SMALL[:-1] + [str(2**64)],
+    EP_SMALL[:-1] + ["-1"],
+    ["verify", "--kind", "ep-curve", "--da", "2", "--db", "3", "--gate-sigma", "nan"],
+    ["verify", "--kind", "ep-curve", "--da", "2", "--db", "3", "--gate-sigma", "inf"],
+    ["verify", "--kind", "ep-curve", "--da", "2", "--db", "3", "--gate-sigma", "0"],
+    ["verify", "--kind", "ep-curve", "--da", "2", "--db", "3", "--gate-sigma", "-5"],
+], ids=["seed-2^64", "seed-negative", "gate-nan", "gate-inf", "gate-zero", "gate-negative"])
+def test_out_of_range_numbers_exit_two_before_sampling(capsys, monkeypatch, argv):
+    def no_sampling(cfg, parallelism=1):
+        raise AssertionError("experiment ran despite invalid input")
+
+    monkeypatch.setattr(cli, "run_experiment", no_sampling)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_ep_curve_csv_contract(capsys):

@@ -22,9 +22,12 @@ from entpower.ensembles import (
     RandomStream,
     UnitaryMatrix,
     basis_product_state,
+    product_state,
+    random_state,
+    sample_coe,
     sample_cue,
 )
-from entpower.entanglement import linear_entropy, operator_entanglement
+from entpower.entanglement import linear_entropy, operator_entanglement_naive
 
 DIMS45 = BipartiteDims(4, 5)
 
@@ -144,11 +147,13 @@ def test_entropy_series_bounded(seed):
 
 
 def test_operator_entanglement_series_matches_direct_powers():
-    u = cue(19)
-    series = operator_entanglement_series(u, 8)
-    for n in (1, 2, 5, 8):
-        un = UnitaryMatrix(DIMS45, np.linalg.matrix_power(u.entries, n), EnsembleTag.FIXED)
-        assert abs(series.values[n - 1] - operator_entanglement(un)) < 1e-10
+    # the oracle shares neither the synthesis nor the reduced-density kernel
+    for dims in (BipartiteDims(2, 3), BipartiteDims(3, 4)):
+        u = cue(19, dims=dims)
+        series = operator_entanglement_series(u, 8)
+        for n in range(1, 9):
+            un = UnitaryMatrix(dims, np.linalg.matrix_power(u.entries, n), EnsembleTag.FIXED)
+            assert abs(series.values[n - 1] - operator_entanglement_naive(un)) < 1e-10
 
 
 def test_time_average_of_diagonal_map_is_zero():
@@ -171,6 +176,27 @@ def test_asymptotic_matches_time_average_oracle():
     spectral = asymptotic_entropy_spectral(u, psi)
     direct = time_average_entropy(u, psi, 100_000)
     assert abs(spectral - direct) < 2e-3
+
+
+def test_asymptotic_matches_time_average_with_larger_a_factor():
+    # d_a > d_b: T^A and T^B differ in size, and the diagonal correction uses T^A only
+    dims = BipartiteDims(5, 4)
+    u = cue(29, dims=dims)
+    psi = basis_product_state(dims)
+    spectral = asymptotic_entropy_spectral(u, psi)
+    direct = time_average_entropy(u, psi, 100_000)
+    # the direct average converges like 1/n_total: here within 1e-5
+    assert abs(spectral - direct) < 1e-4
+
+
+def test_asymptotic_matches_time_average_coe_random_real_state():
+    stream = RandomStream(31, 0)
+    u = sample_coe(20, stream, DIMS45)
+    psi = product_state(random_state(4, FieldTag.REAL, stream),
+                        random_state(5, FieldTag.REAL, stream))
+    spectral = asymptotic_entropy_spectral(u, psi)
+    direct = time_average_entropy(u, psi, 100_000)
+    assert abs(spectral - direct) < 1e-4
 
 
 def test_asymptotic_of_diagonal_map_is_zero():

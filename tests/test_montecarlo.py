@@ -3,17 +3,16 @@ import json
 import numpy as np
 import pytest
 
+import entpower
 from entpower import montecarlo
-from entpower.ensembles import EnsembleTag, FieldTag, RandomStream
+from entpower.dynamics import form_factor_series
+from entpower.ensembles import EnsembleTag, FieldTag, RandomStream, sample_cue
 from entpower.montecarlo import (
     ConfigError,
     ExperimentConfig,
     ExperimentKind,
-    RunningStats,
     StateMode,
     run_experiment,
-    stats_merge,
-    stats_update,
     z_score,
 )
 
@@ -33,54 +32,51 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def test_stats_update_basics():
-    s = stats_update(RunningStats(), 5.0)
-    assert (s.count, s.mean, s.m2) == (1, 5.0, 0.0)
-    t = RunningStats()
-    for x in (1.0, 2.0, 3.0):
-        t = stats_update(t, x)
-    assert t.count == 3
-    assert abs(t.mean - 2.0) < 1e-15
-    assert abs(t.variance() - 1.0) < 1e-15
+def test_accumulator_matches_two_pass_statistics(monkeypatch):
+    # 37-sample chunks: 16 full chunks plus a remainder, all merged
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 37)
+    cfg = small_config(kind=ExperimentKind.FORM_FACTOR, state_mode=StateMode.NONE)
+    table = run_experiment(cfg)
+    # per-sample |tr U^n|^2, recomputed outside run_experiment's accumulator
+    values = np.array([
+        form_factor_series(sample_cue(6, RandomStream(cfg.master_seed, i), cfg.dims), cfg.n_max)
+        for i in range(cfg.samples)
+    ])
+    for row, column in zip(table.rows, values.T):
+        assert row.count == cfg.samples
+        assert abs(row.mean - column.mean()) < 1e-12
+        assert abs(row.stderr - column.std(ddof=1) / np.sqrt(cfg.samples)) < 1e-12
 
 
-def test_stats_update_constant_stream():
-    s = RunningStats()
-    for _ in range(1_000_000):
-        s = stats_update(s, 0.25)
-    assert s.mean == 0.25
-    assert s.m2 < 1e-18
+def test_accumulator_constant_stream(monkeypatch):
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 37)
+    monkeypatch.setattr(montecarlo, "form_factor_series", lambda u, n_max: np.full(n_max, 0.25))
+    cfg = small_config(kind=ExperimentKind.FORM_FACTOR, state_mode=StateMode.NONE,
+                       samples=5_000, n_max=2)
+    for row in run_experiment(cfg).rows:
+        assert row.mean == 0.25
+        assert row.stderr == 0.0
 
 
-def test_stats_merge_identity_and_small_case():
-    s = stats_update(stats_update(RunningStats(), 1.0), 2.0)
-    assert stats_merge(RunningStats(), s) == s
-    assert stats_merge(s, RunningStats()) == s
-    merged = stats_merge(s, stats_update(RunningStats(), 3.0))
-    assert merged.count == 3
-    assert abs(merged.mean - 2.0) < 1e-12
-    assert abs(merged.variance() - 1.0) < 1e-12
+@pytest.mark.parametrize("kind,state", [
+    (ExperimentKind.EP_CURVE, StateMode.RANDOM_COMPLEX_PRODUCT),
+    (ExperimentKind.OPENT_CURVE, StateMode.NONE),
+], ids=["ep", "opent"])
+def test_chunk_partition_invariance(monkeypatch, kind, state):
+    cfg = small_config(kind=kind, state_mode=state)
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 512)
+    coarse = run_experiment(cfg).rows
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 37)
+    fine = run_experiment(cfg).rows
+    for a, b in zip(coarse, fine):
+        assert a.count == b.count == cfg.samples
+        assert abs(a.mean - b.mean) < 1e-12
+        assert abs(a.stderr - b.stderr) < 1e-12
 
 
-def test_stats_merge_partition_invariance():
-    rng = RandomStream(77, 0).generator()
-    data = rng.standard_normal(80_000)
-    shards = []
-    for part in np.split(data, 8):
-        s = RunningStats()
-        for x in part:
-            s = stats_update(s, float(x))
-        shards.append(s)
-    forward = shards[0]
-    for s in shards[1:]:
-        forward = stats_merge(forward, s)
-    perm = [shards[i] for i in (5, 2, 7, 0, 3, 6, 1, 4)]
-    backward = perm[0]
-    for s in perm[1:]:
-        backward = stats_merge(backward, s)
-    assert forward.count == backward.count == 80_000
-    assert abs(forward.mean - backward.mean) < 1e-10
-    assert abs(forward.variance() - backward.variance()) < 1e-10
+def test_metadata_reports_package_version():
+    table = run_experiment(small_config(samples=2, n_max=1))
+    assert table.metadata["version"] == entpower.__version__
 
 
 def test_config_validation():
@@ -94,6 +90,10 @@ def test_config_validation():
         small_config(ensemble=EnsembleTag.FIXED)
     with pytest.raises(ConfigError):
         small_config(master_seed=-4)
+    with pytest.raises(ConfigError):
+        small_config(master_seed=2**64)
+    with pytest.raises(ConfigError):
+        small_config(fixed_state_seed=2**64)
     with pytest.raises(ConfigError):
         run_experiment(small_config(), parallelism=0)
 
