@@ -32,6 +32,35 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def _fed_chunk(monkeypatch, values, start=0):
+    """_chunk_stats over a FORM_FACTOR run whose samples are `values`."""
+    fed = iter(values)
+    monkeypatch.setattr(montecarlo, "form_factor_series", lambda u, n_max: np.array([next(fed)]))
+    cfg = small_config(kind=ExperimentKind.FORM_FACTOR, state_mode=StateMode.NONE, n_max=1)
+    return montecarlo._chunk_stats(cfg, start, len(values))
+
+
+def test_stats_update_basics(monkeypatch):
+    count, mean, m2, _ = _fed_chunk(monkeypatch, [5.0])
+    assert (count, mean[0], m2[0]) == (1, 5.0, 0.0)
+    count, mean, m2, _ = _fed_chunk(monkeypatch, [1.0, 2.0, 3.0])
+    assert count == 3
+    assert abs(mean[0] - 2.0) < 1e-15
+    assert abs(m2[0] / (count - 1) - 1.0) < 1e-15
+
+
+def test_stats_merge_identity_and_small_case(monkeypatch):
+    s = _fed_chunk(monkeypatch, [1.0, 2.0])
+    empty = _fed_chunk(monkeypatch, [])
+    for merged in (montecarlo._merge_chunks([empty, s]), montecarlo._merge_chunks([s, empty])):
+        assert merged[0] == s[0] and merged[3] == s[3]
+        assert np.array_equal(merged[1], s[1]) and np.array_equal(merged[2], s[2])
+    count, mean, m2, _ = montecarlo._merge_chunks([s, _fed_chunk(monkeypatch, [3.0], start=2)])
+    assert count == 3
+    assert abs(mean[0] - 2.0) < 1e-12
+    assert abs(m2[0] / (count - 1) - 1.0) < 1e-12
+
+
 def test_accumulator_matches_two_pass_statistics(monkeypatch):
     # 37-sample chunks: 16 full chunks plus a remainder, all merged
     monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 37)
