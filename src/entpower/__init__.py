@@ -27,7 +27,6 @@ from .dynamics import (
     SpectralDecomposition,
     asymptotic_entropy_spectral,
     entropy_series,
-    form_factor,
     form_factor_series,
     matrix_power,
     operator_entanglement_series,
@@ -93,7 +92,6 @@ __all__ = [
     "operator_entanglement_series",
     "time_average_entropy",
     "asymptotic_entropy_spectral",
-    "form_factor",
     "form_factor_series",
     "CaseTag",
     "FitResult",

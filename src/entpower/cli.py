@@ -70,9 +70,12 @@ class CliInvocation:
     subcommand: str
     flags: dict
     config_path: str | None
+    # the subcommand's argparse actions by dest: the one source of option types
+    actions: dict
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The entpower parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="entpower",
         description="Monte Carlo curves and closed-form checks for the "
@@ -123,13 +126,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="least-squares form-factor model of the CUE ep-curve")
     add_common(sp, state=True)
-    return parser
+    return parser, sub.choices
 
 
 def parse_invocation(argv: list[str]) -> CliInvocation:
-    ns = build_parser().parse_args(argv)
+    parser, subparsers = build_parser()
+    ns = parser.parse_args(argv)
     flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    return CliInvocation(ns.command, flags, getattr(ns, "config", None))
+    actions = {a.dest: a for a in subparsers[ns.command]._actions}
+    return CliInvocation(ns.command, flags, getattr(ns, "config", None), actions)
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """A config-file value checked against the type and choices of its flag."""
+    kind = action.type or str
+    accepted = (int, float) if kind is float else kind
+    # JSON true/false arrive as bools, which Python counts as ints
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    value = kind(value)
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ConfigError(f"config key {key!r} must be one of {choices}, got {value!r}")
+    return value
 
 
 def _merged_options(inv: CliInvocation) -> dict:
@@ -144,6 +163,7 @@ def _merged_options(inv: CliInvocation) -> dict:
         dest = key.replace("-", "_")
         if dest not in merged:
             raise ConfigError(f"config key {key!r} is not a flag of subcommand {inv.subcommand!r}")
+        value = _config_value(key, value, inv.actions[dest])
         if merged[dest] is None:
             merged[dest] = value
     return {k: v for k, v in merged.items() if v is not None}
@@ -217,12 +237,12 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def emit_results(table: ResultTable, fmt: str, out: str | None) -> None:
-    """Serialize a result table as CSV (rows only) or JSON (with metadata)."""
+def emit_results(table: ResultTable, fmt: str, stream) -> None:
+    """Write a result table to a text stream as CSV (rows only) or JSON (with metadata)."""
     if fmt == "json":
-        _write_text(table_to_json(table), out)
+        stream.write(table_to_json(table))
     elif fmt == "csv":
-        _write_text(table_to_csv(table), out)
+        stream.write(table_to_csv(table))
     else:
         raise ConfigError(f"unknown format {fmt!r}")
 
@@ -244,8 +264,15 @@ def _resolve_kind(name: str, opts: dict) -> ExperimentKind:
 
 def _cmd_experiment(inv: CliInvocation, opts: dict) -> int:
     cfg = _experiment_config(_resolve_kind(inv.subcommand, opts), opts)
-    table = run_experiment(cfg, parallelism=opts.get("parallelism", 1))
-    emit_results(table, opts.get("format", "csv"), opts.get("out"))
+    out = opts.get("out")
+    # opened before sampling, so that a bad path fails before any draw
+    stream = sys.stdout if out is None else open(out, "w", encoding="utf-8", newline="\n")
+    try:
+        table = run_experiment(cfg, parallelism=opts.get("parallelism", 1))
+        emit_results(table, opts.get("format", "csv"), stream)
+    finally:
+        if stream is not sys.stdout:
+            stream.close()
     return 0
 
 

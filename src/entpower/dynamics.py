@@ -1,10 +1,23 @@
 """Iterated dynamics U^n psi through the eigenphase decomposition.
 
-A unitary is normal, so its (complex) Schur form is already diagonal:
-U = Z diag(e^{i phi}) Z^dag with Z unitary.  Powers act on the phases
-alone, which makes the whole trajectory n = 1..n_max one dense matrix
-product, and gives closed access to the n -> infinity time average of
-the linear entropy via second-order phase resonances.
+A unitary is normal: U = Z diag(e^{i phi}) Z^dag with Z unitary.  Its
+Hermitian and anti-Hermitian parts H = (U + U^dag)/2 and
+K = (U - U^dag)/2i commute, so one Hermitian eigensolver call on
+H + cK (c a fixed irrational) yields Z, and the phases are read off
+diag(Z^dag U Z).  A symmetric (COE) U has real commuting parts Re U and
+Im U, and takes one real eigensolver call.  Every decomposition is
+checked by its reconstruction; the rare one that fails (two phases
+with cos(phi_a - theta) = cos(phi_b - theta), theta = atan c, share an
+eigenvalue of H + cK) is redone by the complex Schur form.  Powers act
+on the phases alone, which makes the whole trajectory n = 1..n_max one
+dense matrix product, and gives closed access to the n -> infinity
+time average of the linear entropy via second-order phase resonances.
+
+Work runs on blocks: a :class:`SpectralBlock` holds the decompositions
+of a stack of unitaries, and the observables (entropy curves, operator
+curves, asymptotic averages, form factors) take a block.  The
+per-unitary functions are the block functions called on a stack of
+one.
 
 One synthesis serves states and operators: a trajectory is
 sum_k basis_k c_k e^{i n phi_k}.  States take the eigenvectors z_k with
@@ -25,14 +38,19 @@ from .entanglement import _b_major, _reshuffled, purity_batch, reduced_density_b
 __all__ = [
     "DegenerateSpectrumError",
     "SpectralDecomposition",
+    "SpectralBlock",
     "EntropySeries",
+    "decompose_block",
     "spectral_decompose",
     "matrix_power",
+    "entropy_curves",
     "entropy_series",
+    "operator_curves",
     "operator_entanglement_series",
     "time_average_entropy",
+    "asymptotic_entropies",
     "asymptotic_entropy_spectral",
-    "form_factor",
+    "form_factors",
     "form_factor_series",
 ]
 
@@ -40,6 +58,10 @@ _TWO_PI = 2.0 * np.pi
 _RESIDUAL_TOL = 1e-10
 _RESONANCE_TOL = 1e-9
 _TIME_AVERAGE_CHUNK = 20_000
+# c of eigh(H + cK).  Two phases share an eigenvalue of H + cK when
+# phi_a + phi_b = 2 atan(c) (mod 2pi); an irrational c keeps that off
+# the simple multiples of pi that permutations and test gates carry
+_EIGH_MIX = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class DegenerateSpectrumError(ValueError):
@@ -67,38 +89,97 @@ class SpectralDecomposition:
     vectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        z = self.vectors
-        return (z * np.exp(1j * self.phases)) @ z.conj().T
+        return _reconstruct(self.phases, self.vectors)
+
+
+@dataclass(eq=False)
+class SpectralBlock:
+    """Decompositions of a stack of k unitaries on one bipartition.
+
+    phases (k, d) in [0, 2pi) and vectors (k, d, d) as in
+    :class:`SpectralDecomposition`, one row per unitary; residuals (k,)
+    holds each max |Z e^{i phi} Z^dag - U|, and redos counts the
+    unitaries the Schur form had to decompose.
+    """
+
+    dims: BipartiteDims
+    phases: np.ndarray
+    vectors: np.ndarray
+    residuals: np.ndarray
+    redos: int
+
+
+def _phases(diagonal: np.ndarray) -> np.ndarray:
+    phases = np.mod(np.angle(diagonal), _TWO_PI)
+    # np.mod can round a tiny negative angle up to exactly 2pi
+    phases[phases >= _TWO_PI] = 0.0
+    return phases
+
+
+def _reconstruct(phases: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Z diag(e^{i phi}) Z^dag, for one unitary or a stack."""
+    return (z * np.exp(1j * phases)[..., None, :]) @ z.conj().swapaxes(-1, -2)
+
+
+def _residuals(entries: np.ndarray, phases: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(_reconstruct(phases, z) - entries), axis=(-2, -1))
+
+
+def decompose_block(entries: np.ndarray, dims: BipartiteDims, symmetric: bool = False) -> SpectralBlock:
+    """Diagonalize a stack of unitaries, shape (k, d, d), with unitary eigenvectors.
+
+    One eigh call over the stack: eigh(H + cK) for general U, the real
+    eigh(Re U + c Im U) when every U is symmetric.  The phases come
+    from diag(Z^dag U Z), never from the eigenvalues of H + cK, which
+    are two-to-one.  A unitary whose reconstruction misses it by more
+    than 1e-10 is decomposed again by the complex Schur form (its
+    triangular factor is diagonal up to roundoff for normal input);
+    LinAlgError if that misses too.
+    """
+    if symmetric:
+        _, z = np.linalg.eigh(entries.real + _EIGH_MIX * entries.imag)
+        z = z.astype(np.complex128)
+    else:
+        m = ((1.0 - 1j * _EIGH_MIX) / 2.0) * entries
+        _, z = np.linalg.eigh(m + m.conj().swapaxes(-1, -2))
+    phases = _phases(np.sum(z.conj() * (entries @ z), axis=-2))
+    residuals = _residuals(entries, phases, z)
+    redo = np.flatnonzero(residuals > _RESIDUAL_TOL)
+    for i in redo:
+        t, z[i] = scipy.linalg.schur(entries[i], output="complex", check_finite=False)
+        phases[i] = _phases(np.diagonal(t))
+        residuals[i] = _residuals(entries[i], phases[i], z[i])
+        if residuals[i] > _RESIDUAL_TOL:
+            raise np.linalg.LinAlgError(
+                f"spectral reconstruction residual {residuals[i]:.3e} > {_RESIDUAL_TOL}")
+    return SpectralBlock(dims, phases, z, residuals, len(redo))
+
+
+def _block_of(u: UnitaryMatrix) -> SpectralBlock:
+    return decompose_block(u.entries[None], u.dims, symmetric=u.ensemble_tag is EnsembleTag.COE)
 
 
 def spectral_decompose(u: UnitaryMatrix) -> SpectralDecomposition:
-    """Diagonalize a unitary with orthonormal eigenvectors.
+    """Diagonalize a unitary with orthonormal eigenvectors; see :func:`decompose_block`.
 
-    Uses the complex Schur form (triangular T is diagonal up to
-    roundoff for normal input), which keeps Z unitary to machine
-    precision where a generic eigensolver would not.  Raises
-    LinAlgError if the reconstruction misses U by more than 1e-10.
+    COE-tagged unitaries take the real route.  Raises LinAlgError if
+    the reconstruction misses U by more than 1e-10.
     """
-    t, z = scipy.linalg.schur(u.entries, output="complex", check_finite=False)
-    phases = np.mod(np.angle(np.diagonal(t)), _TWO_PI)
-    # np.mod can round a tiny negative angle up to exactly 2pi
-    phases[phases >= _TWO_PI] = 0.0
-    spec = SpectralDecomposition(u.dims, phases, z)
-    defect = np.max(np.abs(spec.reconstruct() - u.entries))
-    if defect > _RESIDUAL_TOL:
-        raise np.linalg.LinAlgError(f"spectral reconstruction residual {defect:.3e} > {_RESIDUAL_TOL}")
-    return spec
+    block = _block_of(u)
+    return SpectralDecomposition(u.dims, block.phases[0], block.vectors[0])
 
 
 def _synthesize(basis: np.ndarray, phases: np.ndarray, coeffs: np.ndarray,
                 ns: np.ndarray) -> np.ndarray:
-    """sum_k basis[..., k] coeffs[k] e^{i n phases[k]}, one per n in ns along the last axis."""
-    return basis @ (np.exp(1j * np.outer(phases, ns)) * coeffs[:, None])
+    """sum_k basis[..., k] coeffs[..., k] e^{i n phases[..., k]}, one per n in ns along the last axis.
+
+    phases and coeffs may carry leading stack axes matching basis's.
+    """
+    return basis @ (np.exp(1j * (phases[..., None] * ns)) * coeffs[..., None])
 
 
-def _projectors(spec: SpectralDecomposition) -> np.ndarray:
+def _projectors(z: np.ndarray) -> np.ndarray:
     """Eigenprojectors |z_k><z_k| stacked along the last axis, shape (d, d, d)."""
-    z = spec.vectors
     return z[:, None, :] * z.conj()[None, :, :]
 
 
@@ -113,7 +194,8 @@ def matrix_power(spec: SpectralDecomposition, n: int) -> UnitaryMatrix:
     if n < 0:
         raise ValueError(f"power must be >= 0, got {n}")
     d = spec.dims.d
-    vec_un = _synthesize(_projectors(spec).reshape(d * d, d), spec.phases, np.ones(d), np.array([n]))
+    vec_un = _synthesize(_projectors(spec.vectors).reshape(d * d, d), spec.phases, np.ones(d),
+                         np.array([n]))
     return UnitaryMatrix(spec.dims, vec_un.reshape(d, d), EnsembleTag.FIXED)
 
 
@@ -131,44 +213,72 @@ class EntropySeries:
             raise ValueError("ns and values must be matching 1d arrays")
 
 
-def _state_orbit(spec: SpectralDecomposition, psi: PureState, ns: np.ndarray) -> np.ndarray:
-    """Columns U^n psi for each n in ns, shape (d, len(ns))."""
-    return _synthesize(spec.vectors, spec.phases, spec.vectors.conj().T @ psi.amplitudes, ns)
+def _coefficients(block: SpectralBlock, states: np.ndarray) -> np.ndarray:
+    """<z_k|psi> per unitary of the block, states (k, d) -> (k, d)."""
+    return (block.vectors.conj().swapaxes(-1, -2) @ states[..., None])[..., 0]
+
+
+def _entropies(block: SpectralBlock, coeffs: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """S_L(U^n psi) per unitary for each n in ns, shape (k, len(ns))."""
+    orbits = _synthesize(block.vectors, block.phases, coeffs, ns)
+    return 1.0 - purity_batch(orbits, block.dims.d_a, block.dims.d_b)
+
+
+def entropy_curves(block: SpectralBlock, states: np.ndarray, n_max: int) -> np.ndarray:
+    """S_L(U^n psi) for n = 1..n_max, states (k, d) -> (k, n_max).
+
+    One synthesis of every orbit of the block and one batched purity.
+    """
+    return _entropies(block, _coefficients(block, states), np.arange(1, n_max + 1))
+
+
+def _check_pair(u: UnitaryMatrix, psi: PureState) -> None:
+    if psi.dims != u.dims:
+        raise ValueError(f"state dims {psi.dims} do not match unitary dims {u.dims}")
+
+
+def _check_n_max(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
 
 
 def entropy_series(u: UnitaryMatrix, psi: PureState, n_max: int) -> EntropySeries:
     """S_L(U^n psi) for n = 1..n_max, one synthesis of the whole orbit."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if psi.dims != u.dims:
-        raise ValueError(f"state dims {psi.dims} do not match unitary dims {u.dims}")
-    spec = spectral_decompose(u)
+    _check_n_max(n_max)
+    _check_pair(u, psi)
+    values = entropy_curves(_block_of(u), psi.amplitudes[None], n_max)[0]
+    return EntropySeries(np.arange(1, n_max + 1), values)
+
+
+def operator_curves(block: SpectralBlock, n_max: int) -> np.ndarray:
+    """Operator entanglement of U^n for n = 1..n_max, shape (k, n_max).
+
+    Synthesizes the Choi vectors vec(U^n) / sqrt(d) of every power
+    from the reshuffled eigenprojectors, the same route the entropy
+    curves take for states; their linear entropies across
+    (A_out A_in | B_out B_in) are the operator entanglements.  Memory
+    is O(d^3 + d^2 n_max) for one unitary, d projector columns and
+    n_max Choi columns of length d^2: the unitaries of a block are
+    taken one at a time.
+    """
+    d_a, d_b, d = block.dims.d_a, block.dims.d_b, block.dims.d
     ns = np.arange(1, n_max + 1)
-    values = 1.0 - purity_batch(_state_orbit(spec, psi, ns), u.dims.d_a, u.dims.d_b)
-    return EntropySeries(ns, values)
+    coeffs = np.full(d, d ** -0.5)
+    curves = np.empty((len(block.phases), n_max))
+    for i, (phases, z) in enumerate(zip(block.phases, block.vectors)):
+        # stacked over (a1 a2): one (d^2, d) x (d, n_max) product is large
+        # enough at d = 20 for OpenBLAS to wake its threads, which then spin
+        # between calls and double the CPU time for no wall-time gain
+        basis = _reshuffled(_projectors(z), d_a, d_b).reshape(d_a * d_a, d_b * d_b, d)
+        choi = _synthesize(basis, phases, coeffs, ns).reshape(d * d, n_max)
+        curves[i] = 1.0 - purity_batch(choi, d_a * d_a, d_b * d_b)
+    return curves
 
 
 def operator_entanglement_series(u: UnitaryMatrix, n_max: int) -> EntropySeries:
-    """Operator entanglement of U^n for n = 1..n_max.
-
-    Decomposes once and synthesizes the Choi vectors vec(U^n) / sqrt(d)
-    of every power from the reshuffled eigenprojectors, the same route
-    the entropy series takes for states; their linear entropies across
-    (A_out A_in | B_out B_in) are the operator entanglements.  Memory is
-    O(d^3 + d^2 n_max): d projector columns and n_max Choi columns, each
-    of length d^2.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    spec = spectral_decompose(u)
-    d_a, d_b, d = u.dims.d_a, u.dims.d_b, u.dims.d
-    ns = np.arange(1, n_max + 1)
-    # stacked over (a1 a2): one (d^2, d) x (d, n_max) product is large
-    # enough at d = 20 for OpenBLAS to wake its threads, which then spin
-    # between calls and double the CPU time for no wall-time gain
-    basis = _reshuffled(_projectors(spec), d_a, d_b).reshape(d_a * d_a, d_b * d_b, d)
-    choi = _synthesize(basis, spec.phases, np.full(d, d ** -0.5), ns).reshape(d * d, n_max)
-    return EntropySeries(ns, 1.0 - purity_batch(choi, d_a * d_a, d_b * d_b))
+    """Operator entanglement of U^n for n = 1..n_max; see :func:`operator_curves`."""
+    _check_n_max(n_max)
+    return EntropySeries(np.arange(1, n_max + 1), operator_curves(_block_of(u), n_max)[0])
 
 
 def time_average_entropy(u: UnitaryMatrix, psi: PureState, n_total: int = 100_000) -> float:
@@ -181,40 +291,40 @@ def time_average_entropy(u: UnitaryMatrix, psi: PureState, n_total: int = 100_00
     """
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
-    if psi.dims != u.dims:
-        raise ValueError(f"state dims {psi.dims} do not match unitary dims {u.dims}")
-    spec = spectral_decompose(u)
-    d_a, d_b = u.dims.d_a, u.dims.d_b
+    _check_pair(u, psi)
+    block = _block_of(u)
+    coeffs = _coefficients(block, psi.amplitudes[None])
     total = 0.0
     for start in range(1, n_total + 1, _TIME_AVERAGE_CHUNK):
         ns = np.arange(start, min(start + _TIME_AVERAGE_CHUNK, n_total + 1))
-        total += float(np.sum(1.0 - purity_batch(_state_orbit(spec, psi, ns), d_a, d_b)))
+        total += float(np.sum(_entropies(block, coeffs, ns)))
     return total / n_total
 
 
-def _check_nonresonant(phases: np.ndarray) -> None:
-    d = len(phases)
+def _min_circular_gap(points: np.ndarray) -> np.ndarray:
+    """Smallest spacing between points on the circle [0, 2pi), per row of (k, m)."""
+    s = np.sort(points, axis=-1)
+    wrap = s[:, 0] + _TWO_PI - s[:, -1]
+    return np.minimum(np.diff(s, axis=-1).min(axis=-1), wrap)
+
+
+def _resonant(phases: np.ndarray) -> np.ndarray:
+    """Per row of (k, d) phases: degenerate, or a fourth-order resonance.
+
+    A coincidence of pairwise sums phi_a + phi_b (a <= b) mod 2pi is a
+    fourth-order resonance and breaks the pairing argument, as does a
+    degenerate phase.
+    """
+    k, d = phases.shape
     if d < 2:
-        return
-    s = np.sort(phases)
-    gaps = np.diff(s)
-    wrap = s[0] + _TWO_PI - s[-1]
-    if min(gaps.min(), wrap) < _RESONANCE_TOL:
-        raise DegenerateSpectrumError(
-            f"eigenphase spacing below {_RESONANCE_TOL}; time average has no closed pairing form")
-    # pairwise sums phi_a + phi_b (a <= b): a coincidence mod 2pi is a
-    # fourth-order resonance and also breaks the pairing argument
+        return np.zeros(k, dtype=bool)
     iu, ju = np.triu_indices(d)
-    sums = np.sort(np.mod(phases[iu] + phases[ju], _TWO_PI))
-    gaps2 = np.diff(sums)
-    wrap2 = sums[0] + _TWO_PI - sums[-1]
-    if min(gaps2.min(), wrap2) < _RESONANCE_TOL:
-        raise DegenerateSpectrumError(
-            f"fourth-order phase resonance within {_RESONANCE_TOL}; falling back is required")
+    sums = np.mod(phases[:, iu] + phases[:, ju], _TWO_PI)
+    return (_min_circular_gap(phases) < _RESONANCE_TOL) | (_min_circular_gap(sums) < _RESONANCE_TOL)
 
 
-def asymptotic_entropy_spectral(u: UnitaryMatrix, psi: PureState) -> float:
-    """Infinite-time average of S_L(U^n psi) from the eigenphase pairing.
+def asymptotic_entropies(block: SpectralBlock, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Infinite-time averages of S_L(U^n psi) from the eigenphase pairing.
 
     With U = sum_a e^{i phi_a} |z_a><z_a| and p_a = |<z_a|psi>|^2, the
     time average of tr rho_A(n)^2 keeps only the phase-matched pairings
@@ -226,35 +336,47 @@ def asymptotic_entropy_spectral(u: UnitaryMatrix, psi: PureState) -> float:
     density matrices, and likewise for B.  Each T is the Gram matrix
     of the flattened (Hermitian) rho^a.  The diagonal correction
     removes the double count of the a = b pairing (T^A_aa = T^B_aa).
-    Requires a nondegenerate, nonresonant spectrum.
+
+    states (k, d) -> (values (k,), resonant (k,)).  The formula needs
+    a nondegenerate, nonresonant spectrum: where resonant is True the
+    value is NaN and the caller must fall back to a time average.
     """
-    if psi.dims != u.dims:
-        raise ValueError(f"state dims {psi.dims} do not match unitary dims {u.dims}")
-    spec = spectral_decompose(u)
-    _check_nonresonant(spec.phases)
-    d_a, d_b, d = u.dims.d_a, u.dims.d_b, u.dims.d
-    z = spec.vectors
-    p = np.abs(z.conj().T @ psi.amplitudes) ** 2
-    rho_a = reduced_density_batch(z, d_a, d_b).reshape(d, -1)
-    rho_b = reduced_density_batch(_b_major(z, d_a, d_b), d_b, d_a).reshape(d, -1)
-    t_a = (rho_a @ rho_a.conj().T).real
-    t_b = (rho_b @ rho_b.conj().T).real
-    avg_purity = p @ (t_a + t_b) @ p - np.dot(p * p, np.diagonal(t_a))
-    return float(1.0 - avg_purity)
+    d_a, d_b, d = block.dims.d_a, block.dims.d_b, block.dims.d
+    z = block.vectors
+    k = len(z)
+    p = np.abs(_coefficients(block, states)) ** 2
+    rho_a = reduced_density_batch(z, d_a, d_b).reshape(k, d, -1)
+    rho_b = reduced_density_batch(_b_major(z, d_a, d_b), d_b, d_a).reshape(k, d, -1)
+    t_a = (rho_a @ rho_a.conj().swapaxes(-1, -2)).real
+    t_b = (rho_b @ rho_b.conj().swapaxes(-1, -2)).real
+    pair = (p[:, None, :] @ (t_a + t_b) @ p[:, :, None])[:, 0, 0]
+    avg_purity = pair - np.sum(p * p * np.diagonal(t_a, axis1=-2, axis2=-1), axis=-1)
+    resonant = _resonant(block.phases)
+    return np.where(resonant, np.nan, 1.0 - avg_purity), resonant
 
 
-def form_factor(u: UnitaryMatrix, n: int) -> float:
-    """Spectral form factor |tr U^n|^2 from the eigenphases."""
-    if n < 0:
-        raise ValueError(f"power must be >= 0, got {n}")
-    phases = np.angle(np.linalg.eigvals(u.entries))
-    return float(np.abs(np.sum(np.exp(1j * n * phases))) ** 2)
+def asymptotic_entropy_spectral(u: UnitaryMatrix, psi: PureState) -> float:
+    """Infinite-time average of S_L(U^n psi); see :func:`asymptotic_entropies`.
+
+    Raises DegenerateSpectrumError for a degenerate or resonant spectrum.
+    """
+    _check_pair(u, psi)
+    values, resonant = asymptotic_entropies(_block_of(u), psi.amplitudes[None])
+    if resonant[0]:
+        raise DegenerateSpectrumError(
+            f"eigenphase spacing or fourth-order phase resonance within {_RESONANCE_TOL}; "
+            "the time average has no closed pairing form")
+    return float(values[0])
+
+
+def form_factors(phases: np.ndarray, n_max: int) -> np.ndarray:
+    """|tr U^n|^2 for n = 1..n_max from eigenphases, (k, d) -> (k, n_max)."""
+    ns = np.arange(1, n_max + 1)
+    traces = np.sum(np.exp(1j * (ns[:, None] * phases[:, None, :])), axis=-1)
+    return np.abs(traces) ** 2
 
 
 def form_factor_series(u: UnitaryMatrix, n_max: int) -> np.ndarray:
     """|tr U^n|^2 for n = 1..n_max, shape (n_max,)."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    phases = np.angle(np.linalg.eigvals(u.entries))
-    traces = np.sum(np.exp(1j * np.outer(np.arange(1, n_max + 1), phases)), axis=1)
-    return np.abs(traces) ** 2
+    _check_n_max(n_max)
+    return form_factors(_block_of(u).phases, n_max)[0]

@@ -25,9 +25,11 @@ __all__ = [
     "UnitaryMatrix",
     "PureState",
     "RandomStream",
+    "sample_unitaries",
     "sample_cue",
     "sample_coe",
     "random_state",
+    "random_product_states",
     "product_state",
     "basis_product_state",
 ]
@@ -150,40 +152,67 @@ class RandomStream:
         return self._generator
 
 
+def _checked_dims(d: int, dims: BipartiteDims | None) -> BipartiteDims:
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if dims is None:
+        return BipartiteDims(d, 1)
+    if dims.d != d:
+        raise ValueError(f"dims product {dims.d} does not match d = {d}")
+    return dims
+
+
 def _ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return z / np.sqrt(2.0)
 
 
-def sample_cue(d: int, stream: RandomStream, dims: BipartiteDims | None = None) -> UnitaryMatrix:
-    """Draw one Haar-distributed unitary from U(d).
+def sample_unitaries(ensemble: EnsembleTag, d: int, streams: list[RandomStream]) -> np.ndarray:
+    """One CUE or COE draw per stream, stacked as shape (k, d, d).
 
-    QR of a complex Ginibre matrix, with the phases of the R diagonal
-    pushed into Q.  Without that rescaling the distribution of Q is not
-    Haar (it depends on the sign/phase convention of the QR routine).
+    CUE: QR of complex Ginibre matrices, with the phases of each R
+    diagonal pushed into Q (Mezzadri, Notices AMS 54, 592 (2007)).
+    Without that rescaling the distribution of Q is not Haar (it
+    depends on the sign/phase convention of the QR routine).  COE:
+    U = W W^T with W Haar, symmetrized as (P + P^T) / 2 so the entries
+    are bitwise symmetric, which floating point matrix multiply does
+    not guarantee on its own.  Each stream draws its own Ginibre
+    matrix; one QR runs over the stack, and stacked LAPACK and BLAS
+    calls treat every matrix alone, so a draw does not depend on the
+    other streams of the stack.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if dims is None:
-        dims = BipartiteDims(d, 1)
-    elif dims.d != d:
-        raise ValueError(f"dims product {dims.d} does not match d = {d}")
-    q, r = np.linalg.qr(_ginibre(d, stream.generator()))
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return UnitaryMatrix(dims, q, EnsembleTag.CUE)
+    if ensemble not in (EnsembleTag.CUE, EnsembleTag.COE):
+        raise ValueError(f"ensemble must be CUE or COE, got {ensemble}")
+    z = np.stack([_ginibre(d, s.generator()) for s in streams])
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    w = q * (diag / np.abs(diag))[:, None, :]
+    if ensemble is EnsembleTag.CUE:
+        return w
+    p = w @ w.swapaxes(-1, -2)
+    return (p + p.swapaxes(-1, -2)) / 2.0
+
+
+def sample_cue(d: int, stream: RandomStream, dims: BipartiteDims | None = None) -> UnitaryMatrix:
+    """Draw one Haar-distributed unitary from U(d); see :func:`sample_unitaries`."""
+    dims = _checked_dims(d, dims)
+    return UnitaryMatrix(dims, sample_unitaries(EnsembleTag.CUE, d, [stream])[0], EnsembleTag.CUE)
 
 
 def sample_coe(d: int, stream: RandomStream, dims: BipartiteDims | None = None) -> UnitaryMatrix:
-    """Draw one COE matrix, U = W W^T with W Haar.
+    """Draw one COE matrix, U = W W^T with W Haar; see :func:`sample_unitaries`."""
+    dims = _checked_dims(d, dims)
+    return UnitaryMatrix(dims, sample_unitaries(EnsembleTag.COE, d, [stream])[0], EnsembleTag.COE)
 
-    The product is symmetrized as (P + P^T) / 2 so the stored entries
-    are bitwise symmetric; floating point matrix multiply does not
-    guarantee that on its own.
-    """
-    w = sample_cue(d, stream, dims)
-    p = w.entries @ w.entries.T
-    return UnitaryMatrix(w.dims, (p + p.T) / 2.0, EnsembleTag.COE)
+
+def _unit_vectors(d: int, field_tag: FieldTag, streams: list[RandomStream]) -> np.ndarray:
+    """One normalized Gaussian vector per stream, shape (k, d), complex128."""
+    gens = [s.generator() for s in streams]
+    if field_tag is FieldTag.COMPLEX:
+        v = np.stack([g.standard_normal(d) + 1j * g.standard_normal(d) for g in gens])
+    else:
+        v = np.stack([g.standard_normal(d) for g in gens]).astype(np.complex128)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def random_state(d: int, field_tag: FieldTag, stream: RandomStream,
@@ -193,18 +222,21 @@ def random_state(d: int, field_tag: FieldTag, stream: RandomStream,
     COMPLEX gives the unitarily invariant (Fubini-Study) measure, REAL
     the orthogonally invariant measure on the real sphere.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if dims is None:
-        dims = BipartiteDims(d, 1)
-    elif dims.d != d:
-        raise ValueError(f"dims product {dims.d} does not match d = {d}")
-    rng = stream.generator()
-    if field_tag is FieldTag.COMPLEX:
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    else:
-        v = rng.standard_normal(d).astype(np.complex128)
-    return PureState(dims, v / np.linalg.norm(v), field_tag)
+    dims = _checked_dims(d, dims)
+    return PureState(dims, _unit_vectors(d, field_tag, [stream])[0], field_tag)
+
+
+def random_product_states(dims: BipartiteDims, field_tag: FieldTag,
+                          streams: list[RandomStream]) -> np.ndarray:
+    """Amplitudes of psi_A (x) psi_B, one random product state per stream, shape (k, d).
+
+    Each stream draws its A factor, then its B factor, as
+    ``product_state(random_state(d_a, ...), random_state(d_b, ...))``
+    does, and gives the same amplitudes.
+    """
+    a = _unit_vectors(dims.d_a, field_tag, streams)
+    b = _unit_vectors(dims.d_b, field_tag, streams)
+    return (a[:, :, None] * b[:, None, :]).reshape(len(streams), dims.d)
 
 
 def product_state(psi_a: PureState, psi_b: PureState) -> PureState:

@@ -51,22 +51,23 @@ class ReducedDensityMatrix:
 
 
 def reduced_density_batch(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """rho_A = M M^dag for a batch of column states, shape (d, n) -> (n, d_a, d_a).
+    """rho_A = M M^dag for a batch of column states, shape (..., d, n) -> (..., n, d_a, d_a).
 
-    A single state of shape (d,) counts as one column.
+    Leading axes stack batches.
     """
-    m = states.T.reshape(-1, d_a, d_b)
+    m = states.swapaxes(-1, -2).reshape(*states.shape[:-2], states.shape[-1], d_a, d_b)
     return m @ m.conj().swapaxes(-1, -2)
 
 
 def purity_batch(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """tr rho_A^2 for a batch of column states, shape (d, n) -> (n,)."""
-    return np.sum(np.abs(reduced_density_batch(states, d_a, d_b)) ** 2, axis=(1, 2))
+    """tr rho_A^2 for a batch of column states, shape (..., d, n) -> (..., n)."""
+    return np.sum(np.abs(reduced_density_batch(states, d_a, d_b)) ** 2, axis=(-2, -1))
 
 
 def _b_major(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    # psi[(a b)] -> psi[(b a)] for each column: the kernel then traces out A
-    return states.reshape(d_a, d_b, -1).swapaxes(0, 1).reshape(d_a * d_b, -1)
+    # psi[(a b)] -> psi[(b a)] for each column of (..., d, n): the kernel then traces out A
+    lead, n = states.shape[:-2], states.shape[-1]
+    return states.reshape(*lead, d_a, d_b, n).swapaxes(-3, -2).reshape(states.shape)
 
 
 def _reshuffled(ops: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -82,19 +83,19 @@ def _reshuffled(ops: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 def reduced_density_a(psi: PureState) -> ReducedDensityMatrix:
     """rho_A = tr_B |psi><psi| = M M^dag."""
     d_a, d_b = psi.dims.d_a, psi.dims.d_b
-    return ReducedDensityMatrix(d_a, reduced_density_batch(psi.amplitudes, d_a, d_b)[0])
+    return ReducedDensityMatrix(d_a, reduced_density_batch(psi.amplitudes[:, None], d_a, d_b)[0])
 
 
 def reduced_density_b(psi: PureState) -> ReducedDensityMatrix:
     """rho_B = tr_A |psi><psi| = M^T M^*."""
     d_a, d_b = psi.dims.d_a, psi.dims.d_b
-    states = _b_major(psi.amplitudes, d_a, d_b)
+    states = _b_major(psi.amplitudes[:, None], d_a, d_b)
     return ReducedDensityMatrix(d_b, reduced_density_batch(states, d_b, d_a)[0])
 
 
 def linear_entropy(psi: PureState) -> float:
     """Linear entropy S_L(psi) = 1 - tr rho_A^2, in [0, 1 - 1/min(d_a, d_b)]."""
-    return float(1.0 - purity_batch(psi.amplitudes, psi.dims.d_a, psi.dims.d_b)[0])
+    return float(1.0 - purity_batch(psi.amplitudes[:, None], psi.dims.d_a, psi.dims.d_b)[0])
 
 
 def operator_entanglement(u: UnitaryMatrix) -> float:

@@ -6,14 +6,17 @@ a pure function of the config.  Accumulation is fixed too: samples are
 folded into per-n Welford accumulators in index order within chunks of
 CHUNK_SIZE, and chunk accumulators are merged in ascending chunk order.
 Workers only change who computes a chunk, never the arithmetic, which
-makes the result rows bit-identical for any parallelism.
+makes the result rows bit-identical for any parallelism.  Within a
+chunk, blocks of BLOCK_SIZE samples are drawn, decomposed and observed
+as stacks whose arithmetic is per sample, so the block size does not
+change the rows either.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from multiprocessing import get_context
 
@@ -22,11 +25,12 @@ import numpy as np
 from . import __version__
 from .closedform import CaseTag
 from .dynamics import (
-    DegenerateSpectrumError,
-    asymptotic_entropy_spectral,
-    entropy_series,
-    form_factor_series,
-    operator_entanglement_series,
+    SpectralBlock,
+    asymptotic_entropies,
+    decompose_block,
+    entropy_curves,
+    form_factors,
+    operator_curves,
     time_average_entropy,
 )
 from .ensembles import (
@@ -35,11 +39,12 @@ from .ensembles import (
     FieldTag,
     PureState,
     RandomStream,
+    UnitaryMatrix,
     basis_product_state,
     product_state,
+    random_product_states,
     random_state,
-    sample_coe,
-    sample_cue,
+    sample_unitaries,
 )
 
 __all__ = [
@@ -52,9 +57,14 @@ __all__ = [
     "run_experiment",
     "z_score",
     "CHUNK_SIZE",
+    "BLOCK_SIZE",
 ]
 
 CHUNK_SIZE = 512
+# samples drawn, decomposed and observed together; a whole chunk at once
+# costs megabytes of stacked orbits for no further gain
+BLOCK_SIZE = 16
+_STAGES = ("sample", "decompose", "observe", "accumulate")
 # seeds become one 64-bit word of the Philox key
 _SEED_LIMIT = 2**64
 # fixed initial states draw from a stream index no sample index reaches
@@ -196,58 +206,98 @@ def _fixed_state(cfg: ExperimentConfig) -> PureState:
     return product_state(psi_a, psi_b)
 
 
-def _sample_state(cfg: ExperimentConfig, fixed: PureState | None, stream: RandomStream) -> PureState:
+def _block_states(cfg: ExperimentConfig, fixed: PureState | None,
+                  streams: list[RandomStream]) -> np.ndarray | None:
+    """Initial-state amplitudes (k, d) for a block, drawn after its unitaries."""
+    if cfg.state_mode is StateMode.NONE:
+        return None
     if cfg.state_mode is StateMode.FIXED_PRODUCT:
-        return fixed
+        return np.broadcast_to(fixed.amplitudes, (len(streams), cfg.dims.d))
     f = FieldTag.COMPLEX if cfg.state_mode is StateMode.RANDOM_COMPLEX_PRODUCT else FieldTag.REAL
-    psi_a = random_state(cfg.d_a, f, stream)
-    psi_b = random_state(cfg.d_b, f, stream)
-    return product_state(psi_a, psi_b)
+    return random_product_states(cfg.dims, f, streams)
+
+
+@dataclass
+class _Tally:
+    """What a chunk reports beside its statistics: numerical health and stage seconds."""
+
+    fallbacks: int = 0
+    redos: int = 0
+    max_residual: float = 0.0
+    seconds: dict = field(default_factory=lambda: dict.fromkeys(_STAGES, 0.0))
+
+    def add(self, other: _Tally) -> None:
+        self.fallbacks += other.fallbacks
+        self.redos += other.redos
+        self.max_residual = max(self.max_residual, other.max_residual)
+        for stage, s in other.seconds.items():
+            self.seconds[stage] += s
+
+
+def _observe(cfg: ExperimentConfig, block: SpectralBlock, u: np.ndarray, psi: np.ndarray | None,
+             tally: _Tally) -> np.ndarray:
+    """One row of values per unitary of the block, shape (k, n_rows)."""
+    if cfg.kind is ExperimentKind.EP_CURVE:
+        return entropy_curves(block, psi, cfg.n_max)
+    if cfg.kind is ExperimentKind.OPENT_CURVE:
+        return operator_curves(block, cfg.n_max)
+    if cfg.kind is ExperimentKind.FORM_FACTOR:
+        return form_factors(block.phases, cfg.n_max)
+    if cfg.kind is ExperimentKind.FOURTH_MOMENT:
+        return form_factors(block.phases, cfg.n_max) ** 2
+    values, resonant = asymptotic_entropies(block, psi)
+    for i in np.flatnonzero(resonant):
+        tally.fallbacks += 1
+        values[i] = time_average_entropy(UnitaryMatrix(cfg.dims, u[i], cfg.ensemble),
+                                         PureState(cfg.dims, psi[i], FieldTag.COMPLEX),
+                                         cfg.time_average_n)
+    return values[:, None]
 
 
 def _chunk_stats(cfg: ExperimentConfig, start: int, count: int):
     """Accumulate samples [start, start+count) in index order.
 
-    Returns (count, means, m2s, fallbacks) with one entry per result
-    row.  Draw order within a sample's stream is fixed: the unitary
-    first, then (for random state modes) the A and B factors.
+    Returns (count, means, m2s, tally) with one mean and m2 per result
+    row.  Samples go through in blocks of BLOCK_SIZE, aligned to the
+    chunk start: the block's unitaries are drawn and decomposed as one
+    stack, observed together, then folded into the Welford
+    accumulators one sample at a time.  Draw order within a sample's
+    stream is fixed: the unitary first, then (for random state modes)
+    the A and B factors.  Stacked draws and decompositions treat each
+    sample alone, so rows do not depend on the block size.
     """
-    dims = cfg.dims
-    d = dims.d
     n_rows = 1 if cfg.kind is ExperimentKind.ASYMPTOTIC else cfg.n_max
     mean = np.zeros(n_rows)
     m2 = np.zeros(n_rows)
     fixed = _fixed_state(cfg) if cfg.state_mode is StateMode.FIXED_PRODUCT else None
-    sampler = sample_cue if cfg.ensemble is EnsembleTag.CUE else sample_coe
-    fallbacks = 0
-    for k in range(count):
-        stream = RandomStream(cfg.master_seed, start + k)
-        u = sampler(d, stream, dims)
-        if cfg.kind is ExperimentKind.EP_CURVE:
-            x = entropy_series(u, _sample_state(cfg, fixed, stream), cfg.n_max).values
-        elif cfg.kind is ExperimentKind.OPENT_CURVE:
-            x = operator_entanglement_series(u, cfg.n_max).values
-        elif cfg.kind is ExperimentKind.FORM_FACTOR:
-            x = form_factor_series(u, cfg.n_max)
-        elif cfg.kind is ExperimentKind.FOURTH_MOMENT:
-            x = form_factor_series(u, cfg.n_max) ** 2
-        else:
-            psi = _sample_state(cfg, fixed, stream)
-            try:
-                x = np.array([asymptotic_entropy_spectral(u, psi)])
-            except DegenerateSpectrumError:
-                fallbacks += 1
-                x = np.array([time_average_entropy(u, psi, cfg.time_average_n)])
-        delta = x - mean
-        mean += delta / (k + 1)
-        m2 += delta * (x - mean)
-    return count, mean, m2, fallbacks
+    tally = _Tally()
+    for offset in range(0, count, BLOCK_SIZE):
+        t0 = time.perf_counter()
+        streams = [RandomStream(cfg.master_seed, start + k)
+                   for k in range(offset, min(offset + BLOCK_SIZE, count))]
+        u = sample_unitaries(cfg.ensemble, cfg.dims.d, streams)
+        psi = _block_states(cfg, fixed, streams)
+        t1 = time.perf_counter()
+        block = decompose_block(u, cfg.dims, symmetric=cfg.ensemble is EnsembleTag.COE)
+        t2 = time.perf_counter()
+        values = _observe(cfg, block, u, psi, tally)
+        t3 = time.perf_counter()
+        for k, x in enumerate(values, start=offset):
+            delta = x - mean
+            mean += delta / (k + 1)
+            m2 += delta * (x - mean)
+        t4 = time.perf_counter()
+        tally.redos += block.redos
+        tally.max_residual = max(tally.max_residual, float(block.residuals.max()))
+        for stage, s in zip(_STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            tally.seconds[stage] += s
+    return count, mean, m2, tally
 
 
 def _merge_chunks(parts):
-    count, mean, m2, fallbacks = 0, None, None, 0
-    for c_count, c_mean, c_m2, c_fb in parts:
-        fallbacks += c_fb
+    count, mean, m2, tally = 0, None, None, _Tally()
+    for c_count, c_mean, c_m2, c_tally in parts:
+        tally.add(c_tally)
         if mean is None:
             count, mean, m2 = c_count, c_mean, c_m2
             continue
@@ -256,7 +306,7 @@ def _merge_chunks(parts):
         mean = mean + delta * (c_count / total)
         m2 = m2 + c_m2 + delta * delta * (count * c_count / total)
         count = total
-    return count, mean, m2, fallbacks
+    return count, mean, m2, tally
 
 
 def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
@@ -267,7 +317,10 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
     ASYMPTOTIC produces a single row with the n = -1 sentinel, falling
     back from the spectral formula to the direct time average when a
     sample's spectrum is flagged degenerate.  More than 1% fallbacks
-    adds a warning to the metadata.
+    adds a warning to the metadata.  The metadata's "numerics" reports
+    Schur redos, the worst reconstruction residual and the fallback
+    count; "timings" the seconds spent in each stage, summed over all
+    blocks, chunks and workers.
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
@@ -278,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
     else:
         with ProcessPoolExecutor(max_workers=parallelism, mp_context=get_context("spawn")) as pool:
             parts = list(pool.map(_chunk_stats, *zip(*((cfg, s, c) for s, c in spans))))
-    count, mean, m2, fallbacks = _merge_chunks(parts)
+    count, mean, m2, tally = _merge_chunks(parts)
     variance = m2 / (count - 1)
     stderr = np.sqrt(variance / count)
     if cfg.kind is ExperimentKind.ASYMPTOTIC:
@@ -287,15 +340,21 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
         ns = list(range(1, cfg.n_max + 1))
     rows = [ResultRow(n, float(mean[i]), float(stderr[i]), count) for i, n in enumerate(ns)]
     warnings = []
-    if fallbacks > 0.01 * cfg.samples:
+    if tally.fallbacks > 0.01 * cfg.samples:
         warnings.append(
-            f"degeneracy fallback used for {fallbacks}/{cfg.samples} samples; "
+            f"degeneracy fallback used for {tally.fallbacks}/{cfg.samples} samples; "
             "asymptotic estimate mixes spectral and direct averages")
     metadata = {
         "config": cfg.to_dict(),
         "version": __version__,
         "wall_seconds": time.perf_counter() - t0,
-        "fallback_count": fallbacks,
+        "fallback_count": tally.fallbacks,
+        "numerics": {
+            "decomposition_redos": tally.redos,
+            "max_residual": tally.max_residual,
+            "fallback_count": tally.fallbacks,
+        },
+        "timings": {f"{stage}_s": s for stage, s in tally.seconds.items()},
         "warnings": warnings,
     }
     return ResultTable(rows, metadata)

@@ -123,6 +123,51 @@ def test_config_file_unknown_key(capsys, tmp_path):
     assert "bogus" in err
 
 
+def _no_sampling(cfg, parallelism=1):
+    raise AssertionError("experiment ran despite invalid input")
+
+
+@pytest.mark.parametrize("command,config", [
+    ("ep-curve", {"seed": 1.5}),
+    ("ep-curve", {"seed": True}),
+    ("ep-curve", {"da": "2"}),
+    ("ep-curve", {"samples": 2.5}),
+    ("ep-curve", {"parallelism": None}),
+    ("ep-curve", {"ensemble": "gue"}),
+    ("ep-curve", {"state": 1}),
+    ("ep-curve", {"out": 7}),
+    ("form-factor", {"moment": 3}),
+    ("verify", {"kind": "ep-curve", "gate_sigma": "5"}),
+    ("verify", {"kind": "ep-curve", "gate_sigma": False}),
+], ids=["seed-float", "seed-bool", "da-string", "samples-float", "parallelism-null",
+        "ensemble-choice", "state-int", "out-int", "moment-choice", "gate-string", "gate-bool"])
+def test_config_values_are_type_checked(capsys, monkeypatch, tmp_path, command, config):
+    monkeypatch.setattr(cli, "run_experiment", _no_sampling)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"da": 2, "db": 3, **config}))
+    code, out, err = run_cli(capsys, [command, "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config key ") and len(err.splitlines()) == 1
+
+
+def test_config_float_flag_takes_a_json_integer(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"kind": "ep-curve", "da": 2, "db": 3, "nmax": 2,
+                                "samples": 200, "gate_sigma": 5}))
+    code, out, _ = run_cli(capsys, ["verify", "--config", str(path)])
+    assert code == 0
+    assert "gate=5" in out
+
+
+def test_unwritable_out_exits_three_before_sampling(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "run_experiment", _no_sampling)
+    code, out, err = run_cli(capsys, EP_SMALL + ["--out", str(tmp_path / "missing" / "a.csv")])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("i/o error: ")
+
+
 def test_missing_config_file_is_io_error(capsys):
     code, _, _ = run_cli(capsys, ["ep-curve", "--config", "/no/such/file.json"])
     assert code == 3

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from entpower import dynamics
 from entpower.dynamics import (
     DegenerateSpectrumError,
     asymptotic_entropy_spectral,
+    decompose_block,
     entropy_series,
-    form_factor,
     form_factor_series,
     matrix_power,
     operator_entanglement_series,
@@ -226,7 +227,7 @@ def test_degenerate_error_is_value_error():
 
 def test_form_factor_identity():
     u = UnitaryMatrix(DIMS45, np.eye(20), EnsembleTag.FIXED)
-    assert abs(form_factor(u, 3) - 400.0) < 1e-9
+    assert abs(form_factor_series(u, 3)[2] - 400.0) < 1e-9
 
 
 def test_form_factor_matches_trace_of_powers():
@@ -235,5 +236,53 @@ def test_form_factor_matches_trace_of_powers():
     series = form_factor_series(u, 10)
     for n in (1, 2, 7, 10):
         t = np.trace(matrix_power(spec, n).entries)
-        assert abs(form_factor(u, n) - abs(t) ** 2) < 1e-8
-        assert abs(series[n - 1] - form_factor(u, n)) < 1e-10
+        assert abs(series[n - 1] - abs(t) ** 2) < 1e-8
+        t_direct = np.trace(np.linalg.matrix_power(u.entries, n))
+        assert abs(series[n - 1] - abs(t_direct) ** 2) < 1e-8
+
+
+def _swap(d):
+    m = np.zeros((d * d, d * d))
+    for a in range(d):
+        for b in range(d):
+            m[b * d + a, a * d + b] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("entries", [
+    np.eye(4),
+    _swap(2),
+    np.diag(np.exp(1j * np.array([0.1, 2.0, 2.0, 5.0]))),
+    np.diag(np.exp(1j * np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2]))),
+], ids=["identity", "swap", "diagonal-degenerate", "diagonal-quarter-turns"])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["complex", "real"])
+def test_decompose_special_unitaries(entries, symmetric):
+    block = decompose_block(entries[None].astype(np.complex128), BipartiteDims(2, 2), symmetric)
+    assert block.residuals[0] < 1e-10
+    z = block.vectors[0]
+    assert np.max(np.abs(z @ z.conj().T - np.eye(4))) < 1e-12
+    assert np.allclose(np.sort(block.phases[0]), np.sort(np.mod(np.angle(np.linalg.eigvals(entries)),
+                                                                2 * np.pi)), atol=1e-12)
+
+
+def test_decompose_redoes_a_shared_eigenvalue_by_schur():
+    # phi_1,2 = theta +- 0.7 with theta = atan(c) give H + cK one
+    # eigenvalue for two eigenvectors of U, which eigh then mixes
+    theta = np.arctan(dynamics._EIGH_MIX)
+    phases = np.array([theta + 0.7, theta - 0.7, 2.0, 4.0])
+    z = cue(3, dims=BipartiteDims(2, 2)).entries
+    u = (z * np.exp(1j * phases)) @ z.conj().T
+    block = decompose_block(np.stack([u, z]), BipartiteDims(2, 2))
+    assert block.redos == 1
+    assert np.all(block.residuals < 1e-10)
+    assert np.allclose(np.sort(block.phases[0]), np.sort(np.mod(phases, 2 * np.pi)), atol=1e-10)
+
+
+def test_decompose_block_matches_one_at_a_time():
+    for symmetric, sampler in ((False, sample_cue), (True, sample_coe)):
+        us = [sampler(20, RandomStream(43, i), DIMS45) for i in range(5)]
+        block = decompose_block(np.stack([u.entries for u in us]), DIMS45, symmetric)
+        for i, u in enumerate(us):
+            spec = spectral_decompose(u)
+            assert np.array_equal(block.phases[i], spec.phases)
+            assert np.array_equal(block.vectors[i], spec.vectors)

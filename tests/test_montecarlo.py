@@ -35,7 +35,8 @@ def small_config(**overrides):
 def _fed_chunk(monkeypatch, values, start=0):
     """_chunk_stats over a FORM_FACTOR run whose samples are `values`."""
     fed = iter(values)
-    monkeypatch.setattr(montecarlo, "form_factor_series", lambda u, n_max: np.array([next(fed)]))
+    monkeypatch.setattr(montecarlo, "form_factors",
+                        lambda phases, n_max: np.array([[next(fed)] for _ in phases]))
     cfg = small_config(kind=ExperimentKind.FORM_FACTOR, state_mode=StateMode.NONE, n_max=1)
     return montecarlo._chunk_stats(cfg, start, len(values))
 
@@ -79,7 +80,8 @@ def test_accumulator_matches_two_pass_statistics(monkeypatch):
 
 def test_accumulator_constant_stream(monkeypatch):
     monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 37)
-    monkeypatch.setattr(montecarlo, "form_factor_series", lambda u, n_max: np.full(n_max, 0.25))
+    monkeypatch.setattr(montecarlo, "form_factors",
+                        lambda phases, n_max: np.full((len(phases), n_max), 0.25))
     cfg = small_config(kind=ExperimentKind.FORM_FACTOR, state_mode=StateMode.NONE,
                        samples=5_000, n_max=2)
     for row in run_experiment(cfg).rows:
@@ -101,6 +103,49 @@ def test_chunk_partition_invariance(monkeypatch, kind, state):
         assert a.count == b.count == cfg.samples
         assert abs(a.mean - b.mean) < 1e-12
         assert abs(a.stderr - b.stderr) < 1e-12
+
+
+@pytest.mark.parametrize("kind,ensemble,state", [
+    (ExperimentKind.EP_CURVE, EnsembleTag.CUE, StateMode.FIXED_PRODUCT),
+    (ExperimentKind.EP_CURVE, EnsembleTag.COE, StateMode.RANDOM_COMPLEX_PRODUCT),
+    (ExperimentKind.OPENT_CURVE, EnsembleTag.CUE, StateMode.NONE),
+    (ExperimentKind.FOURTH_MOMENT, EnsembleTag.CUE, StateMode.NONE),
+    (ExperimentKind.ASYMPTOTIC, EnsembleTag.COE, StateMode.RANDOM_REAL_PRODUCT),
+], ids=["ep-cue", "ep-coe-complex", "opent", "fourth-moment", "asym-coe-real"])
+def test_rows_independent_of_block_size(monkeypatch, kind, ensemble, state):
+    # 37 samples: two full blocks of 16 and a remainder of 5
+    cfg = small_config(kind=kind, ensemble=ensemble, state_mode=state, samples=37,
+                       n_max=1 if kind is ExperimentKind.ASYMPTOTIC else 6)
+    blocked = run_experiment(cfg).rows
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1)
+    assert run_experiment(cfg).rows == blocked
+
+
+def test_metadata_stage_timings_cover_wall_time():
+    table = run_experiment(small_config(samples=2_000))
+    timings = table.metadata["timings"]
+    assert set(timings) == {"sample_s", "decompose_s", "observe_s", "accumulate_s"}
+    assert all(t > 0 for t in timings.values())
+    wall = table.metadata["wall_seconds"]
+    assert abs(sum(timings.values()) - wall) <= 0.05 * wall
+
+
+def test_metadata_numerics_merge_over_blocks_and_chunks(monkeypatch):
+    # pretend every block needed one Schur redo: 600 samples in chunks of
+    # 37 make 16 chunks of 3 blocks (16 + 16 + 5) and one 8-sample chunk
+    real = montecarlo.decompose_block
+
+    def one_redo(*args, **kwargs):
+        block = real(*args, **kwargs)
+        block.redos = 1
+        return block
+
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 37)
+    monkeypatch.setattr(montecarlo, "decompose_block", one_redo)
+    numerics = run_experiment(small_config()).metadata["numerics"]
+    assert numerics["decomposition_redos"] == 16 * 3 + 1
+    assert 0 < numerics["max_residual"] < 1e-10
+    assert numerics["fallback_count"] == 0
 
 
 def test_metadata_reports_package_version():
@@ -159,12 +204,10 @@ def test_asymptotic_sentinel_row():
 
 
 def test_asymptotic_fallback_warning(monkeypatch):
-    from entpower.dynamics import DegenerateSpectrumError, time_average_entropy
+    def always_degenerate(block, states):
+        return np.full(len(states), np.nan), np.ones(len(states), dtype=bool)
 
-    def always_degenerate(u, psi):
-        raise DegenerateSpectrumError("forced for the fallback path")
-
-    monkeypatch.setattr(montecarlo, "asymptotic_entropy_spectral", always_degenerate)
+    monkeypatch.setattr(montecarlo, "asymptotic_entropies", always_degenerate)
     cfg = small_config(kind=ExperimentKind.ASYMPTOTIC, n_max=1, samples=20,
                        time_average_n=2_000)
     table = run_experiment(cfg)
