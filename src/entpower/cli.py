@@ -82,6 +82,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     "entangling power of iterated CUE/COE unitaries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # verify and fit print gate lines to stdout, so only the experiment
+    # subcommands and table take --out and --format
+    def add_output(sp):
+        sp.add_argument("--out", help="output path (default stdout)")
+        sp.add_argument("--format", choices=["csv", "json"])
+
     def add_common(sp, *, state: bool, nmax: bool = True):
         sp.add_argument("--da", type=int, help="subsystem A dimension")
         sp.add_argument("--db", type=int, help="subsystem B dimension")
@@ -93,28 +99,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         if state:
             sp.add_argument("--state", choices=sorted(_STATE_MODES),
                             help="initial product state mode (default fixed)")
-        sp.add_argument("--parallelism", type=int, help="worker processes (default 1)")
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=["csv", "json"])
+        sp.add_argument("--parallelism", type=int, help="worker threads (default 1)")
         sp.add_argument("--config", help="flat JSON file with flag-name keys")
 
     sp = sub.add_parser("ep-curve", help="mean linear entropy of U^n psi vs n")
     add_common(sp, state=True)
+    add_output(sp)
     sp = sub.add_parser("opent-curve", help="mean operator entanglement of U^n vs n")
     add_common(sp, state=False)
+    add_output(sp)
     sp = sub.add_parser("form-factor", help="mean |tr U^n|^2 (or ^4) vs n")
     add_common(sp, state=False)
+    add_output(sp)
     sp.add_argument("--moment", type=int, choices=[2, 4], help="trace moment (default 2)")
     sp = sub.add_parser("asymptotic", help="mean infinite-time entropy (single row, n = -1)")
     add_common(sp, state=True, nmax=False)
+    add_output(sp)
     sp.add_argument("--time-average-n", type=int,
                     help="steps for the direct-average fallback (default 100000)")
 
     sp = sub.add_parser("table", help="closed-form reference values for given dims")
     sp.add_argument("--da", type=int)
     sp.add_argument("--db", type=int)
-    sp.add_argument("--out")
-    sp.add_argument("--format", choices=["csv", "json"])
+    add_output(sp)
     sp.add_argument("--config", help="flat JSON file with flag-name keys")
 
     sp = sub.add_parser("verify", help="run an experiment and gate it against closed forms")

@@ -8,7 +8,7 @@ convention of ``numpy.kron``: component (a, b) sits at a * d_b + b.
 
 Randomness is counter based.  Every Monte Carlo sample owns a
 :class:`RandomStream` keyed by (master_seed, stream_index), so results
-do not depend on how samples are distributed over processes.
+do not depend on how samples are distributed over worker threads.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ keyed by (master_seed, index), so the value contributed by sample i is
 a pure function of the config.  Accumulation is fixed too: samples are
 folded into per-n Welford accumulators in index order within chunks of
 CHUNK_SIZE, and chunk accumulators are merged in ascending chunk order.
-Workers only change who computes a chunk, never the arithmetic, which
-makes the result rows bit-identical for any parallelism.  Within a
+Worker threads only change who computes a chunk, never the arithmetic,
+which makes the result rows bit-identical for any parallelism.  Within a
 chunk, blocks of BLOCK_SIZE samples are drawn, decomposed and observed
 as stacks whose arithmetic is per sample, so the block size does not
 change the rows either.
@@ -14,13 +14,15 @@ change the rows either.
 
 from __future__ import annotations
 
+import os
+import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from multiprocessing import get_context
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .closedform import CaseTag
@@ -70,6 +72,9 @@ _SEED_LIMIT = 2**64
 # fixed initial states draw from a stream index no sample index reaches
 _FIXED_STATE_STREAM = 2**63
 _ASYMPTOTIC_N = -1
+# BLAS thread settings worth echoing; they decide whether worker threads
+# and BLAS threads compete for the same cores
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -320,7 +325,16 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
     adds a warning to the metadata.  The metadata's "numerics" reports
     Schur redos, the worst reconstruction residual and the fallback
     count; "timings" the seconds spent in each stage, summed over all
-    blocks, chunks and workers.
+    blocks, chunks and worker threads, so that with parallelism > 1 they
+    can add up to more than "wall_seconds".  "env" records the Python,
+    numpy and scipy versions, the CPU count, the parallelism and any
+    BLAS thread variables set.
+
+    Chunks run on a pool of `parallelism` threads: a block's work is
+    large numpy/LAPACK calls that release the GIL.  If a chunk raises
+    (or the caller is interrupted), chunks not yet started are
+    cancelled and the exception reaches the caller once the running
+    ones finish.
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
@@ -329,8 +343,12 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
     if parallelism == 1 or len(spans) == 1:
         parts = [_chunk_stats(cfg, s, c) for s, c in spans]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism, mp_context=get_context("spawn")) as pool:
-            parts = list(pool.map(_chunk_stats, *zip(*((cfg, s, c) for s, c in spans))))
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            try:
+                parts = list(pool.map(lambda span: _chunk_stats(cfg, *span), spans))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     count, mean, m2, tally = _merge_chunks(parts)
     variance = m2 / (count - 1)
     stderr = np.sqrt(variance / count)
@@ -344,10 +362,12 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
         warnings.append(
             f"degeneracy fallback used for {tally.fallbacks}/{cfg.samples} samples; "
             "asymptotic estimate mixes spectral and direct averages")
+    wall = time.perf_counter() - t0
     metadata = {
         "config": cfg.to_dict(),
         "version": __version__,
-        "wall_seconds": time.perf_counter() - t0,
+        "wall_seconds": wall,
+        "samples_per_second": cfg.samples / wall,
         "fallback_count": tally.fallbacks,
         "numerics": {
             "decomposition_redos": tally.redos,
@@ -355,6 +375,14 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
             "fallback_count": tally.fallbacks,
         },
         "timings": {f"{stage}_s": s for stage, s in tally.seconds.items()},
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "parallelism": parallelism,
+            "thread_env": {k: os.environ[k] for k in _THREAD_ENV if k in os.environ},
+        },
         "warnings": warnings,
     }
     return ResultTable(rows, metadata)

@@ -151,6 +151,34 @@ def test_config_values_are_type_checked(capsys, monkeypatch, tmp_path, command, 
     assert err.startswith("error: config key ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["verify", "--kind", "ep-curve", "--out", "v.txt"], None),
+    (["verify", "--kind", "ep-curve", "--format", "json"], None),
+    (["fit", "--out", "v.txt"], None),
+    (["fit", "--format", "json"], None),
+    (["verify"], {"kind": "ep-curve", "out": "v.txt"}),
+    (["fit"], {"format": "json"}),
+], ids=["verify-out", "verify-format", "fit-out", "fit-format", "verify-config-out",
+        "fit-config-format"])
+def test_verify_and_fit_reject_output_flags(capsys, monkeypatch, tmp_path, argv, config):
+    # both print their gate lines to stdout and never had an output file
+    monkeypatch.setattr(cli, "run_experiment", _no_sampling)
+    monkeypatch.chdir(tmp_path)
+    argv = argv + ["--da", "2", "--db", "2"]
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    if config is not None:
+        assert err.startswith("error: config key ") and "is not a flag of subcommand" in err
+    assert not (tmp_path / "v.txt").exists()
+
+
 def test_config_float_flag_takes_a_json_integer(capsys, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"kind": "ep-curve", "da": 2, "db": 3, "nmax": 2,

@@ -1,4 +1,12 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +14,7 @@ import pytest
 import entpower
 from entpower import montecarlo
 from entpower.dynamics import form_factor_series
-from entpower.ensembles import EnsembleTag, FieldTag, RandomStream, sample_cue
+from entpower.ensembles import EnsembleTag, FieldTag, RandomStream, sample_cue, sample_unitaries
 from entpower.montecarlo import (
     ConfigError,
     ExperimentConfig,
@@ -151,6 +159,69 @@ def test_metadata_numerics_merge_over_blocks_and_chunks(monkeypatch):
 def test_metadata_reports_package_version():
     table = run_experiment(small_config(samples=2, n_max=1))
     assert table.metadata["version"] == entpower.__version__
+
+
+def test_metadata_reports_run_environment(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    cfg = small_config()  # 600 samples = 2 chunks, so parallelism 2 uses the pool
+    table = run_experiment(cfg, parallelism=2)
+    env = table.metadata["env"]
+    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "parallelism", "thread_env"}
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert env["numpy"] == np.__version__
+    assert isinstance(env["scipy"], str) and env["scipy"]
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["parallelism"] == 2
+    assert env["thread_env"] == {"OMP_NUM_THREADS": "1"}
+    rate = table.metadata["samples_per_second"]
+    assert isinstance(rate, float)
+    assert rate == pytest.approx(cfg.samples / table.metadata["wall_seconds"])
+
+
+def test_failing_chunk_cancels_chunks_not_started(monkeypatch):
+    # 8 chunks of one block each; chunk 0's decomposition fails, and the
+    # others are slowed so that the pool could not finish them unasked
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", montecarlo.BLOCK_SIZE)
+    cfg = small_config(samples=8 * montecarlo.BLOCK_SIZE)
+    first = sample_unitaries(cfg.ensemble, cfg.dims.d, [RandomStream(cfg.master_seed, 0)])[0]
+    real = montecarlo.decompose_block
+    started = []
+
+    def failing_first_chunk(u, dims, symmetric):
+        started.append(1)
+        if np.array_equal(u[0], first):
+            raise np.linalg.LinAlgError("chunk 0 failed")
+        time.sleep(0.05)
+        return real(u, dims, symmetric=symmetric)
+
+    monkeypatch.setattr(montecarlo, "decompose_block", failing_first_chunk)
+    with pytest.raises(np.linalg.LinAlgError, match="chunk 0 failed"):
+        run_experiment(cfg, parallelism=2)
+    assert len(started) < 8
+
+
+def test_parallel_run_needs_no_main_guard(tmp_path):
+    # a plain script with no __main__ guard, as a library caller writes it
+    script = tmp_path / "plain.py"
+    script.write_text(textwrap.dedent("""\
+        from entpower.ensembles import EnsembleTag
+        from entpower.montecarlo import ExperimentConfig, ExperimentKind, StateMode, run_experiment
+        cfg = ExperimentConfig(ExperimentKind.EP_CURVE, EnsembleTag.CUE, StateMode.FIXED_PRODUCT,
+                               2, 3, 4, 600, 11)
+        assert run_experiment(cfg, parallelism=2).rows == run_experiment(cfg).rows
+        """))
+    src = str(Path(entpower.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # in process: the pool leaves no child process and no thread behind
+    threads = threading.active_count()
+    run_experiment(small_config(), parallelism=2)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 def test_config_validation():
