@@ -22,7 +22,6 @@ from .closedform import (
     op_ent_cue,
 )
 from .dynamics import (
-    DegenerateSpectrumError,
     EntropySeries,
     SpectralDecomposition,
     asymptotic_entropy_spectral,
@@ -83,7 +82,6 @@ __all__ = [
     "linear_entropy",
     "operator_entanglement",
     "operator_entanglement_naive",
-    "DegenerateSpectrumError",
     "SpectralDecomposition",
     "EntropySeries",
     "spectral_decompose",

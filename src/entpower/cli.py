@@ -42,6 +42,7 @@ from .montecarlo import (
     ResultRow,
     ResultTable,
     StateMode,
+    check_parallelism,
     run_experiment,
     z_score,
 )
@@ -63,6 +64,9 @@ _STATE_MODES = {
 }
 _ENSEMBLES = {"cue": EnsembleTag.CUE, "coe": EnsembleTag.COE}
 _DEFAULT_SAMPLES = 100_000
+# verify passes a row within this of its target whatever its stderr: rows
+# that are exact up to roundoff (d_A = 1, d = 1) have a stderr near 0
+_ROUNDOFF_FLOOR = 1e-12
 
 
 @dataclass
@@ -115,8 +119,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp = sub.add_parser("asymptotic", help="mean infinite-time entropy (single row, n = -1)")
     add_common(sp, state=True, nmax=False)
     add_output(sp)
-    sp.add_argument("--time-average-n", type=int,
-                    help="steps for the direct-average fallback (default 100000)")
 
     sp = sub.add_parser("table", help="closed-form reference values for given dims")
     sp.add_argument("--da", type=int)
@@ -129,7 +131,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--kind", choices=["ep-curve", "opent-curve", "form-factor", "asymptotic"])
     sp.add_argument("--moment", type=int, choices=[2, 4])
     sp.add_argument("--gate-sigma", type=float, help="|z| threshold (default 5.0)")
-    sp.add_argument("--time-average-n", type=int)
 
     sp = sub.add_parser("fit", help="least-squares form-factor model of the CUE ep-curve")
     add_common(sp, state=True)
@@ -206,7 +207,6 @@ def _experiment_config(kind: ExperimentKind, opts: dict) -> ExperimentConfig:
         n_max=n_max,
         samples=opts.get("samples", _DEFAULT_SAMPLES),
         master_seed=opts.get("seed", _default_seed()),
-        time_average_n=opts.get("time_average_n", 100_000),
     )
 
 
@@ -271,11 +271,13 @@ def _resolve_kind(name: str, opts: dict) -> ExperimentKind:
 
 def _cmd_experiment(inv: CliInvocation, opts: dict) -> int:
     cfg = _experiment_config(_resolve_kind(inv.subcommand, opts), opts)
+    parallelism = check_parallelism(opts.get("parallelism", 1))
     out = opts.get("out")
-    # opened before sampling, so that a bad path fails before any draw
+    # opened after every usage check and before sampling, so that a usage
+    # error leaves no file behind and a bad path fails before any draw
     stream = sys.stdout if out is None else open(out, "w", encoding="utf-8", newline="\n")
     try:
-        table = run_experiment(cfg, parallelism=opts.get("parallelism", 1))
+        table = run_experiment(cfg, parallelism=parallelism)
         emit_results(table, opts.get("format", "csv"), stream)
     finally:
         if stream is not sys.stdout:
@@ -368,11 +370,12 @@ def _cmd_verify(opts: dict) -> int:
     failures = 0
     for n, label, target in targets:
         row = table.row_for(n)
-        z = z_score(row.mean, row.stderr, target)
-        ok = abs(z) <= gate
+        ok = abs(row.mean - float(target)) <= max(gate * row.stderr, _ROUNDOFF_FLOOR)
+        z = z_score(row.mean, row.stderr, target) if row.stderr > 0 else math.nan
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'} n={n:>3d} {label:<14s} mean={_fmt(row.mean)} "
-              f"stderr={_fmt(row.stderr)} target={target} z={z:+.3f} gate={gate:g}")
+              f"stderr={_fmt(row.stderr)} target={target} z={z:+.3f} gate={gate:g} "
+              f"floor={_ROUNDOFF_FLOOR:g}")
     print(f"{len(targets) - failures}/{len(targets)} gates passed")
     return 0 if failures == 0 else 1
 

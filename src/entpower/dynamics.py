@@ -11,7 +11,7 @@ with cos(phi_a - theta) = cos(phi_b - theta), theta = atan c, share an
 eigenvalue of H + cK) is redone by the complex Schur form.  Powers act
 on the phases alone, which makes the whole trajectory n = 1..n_max one
 dense matrix product, and gives closed access to the n -> infinity
-time average of the linear entropy via second-order phase resonances.
+time average of the linear entropy by matching pair sums of phases.
 
 Work runs on blocks: a :class:`SpectralBlock` holds the decompositions
 of a stack of unitaries, and the observables (entropy curves, operator
@@ -36,7 +36,6 @@ from .ensembles import BipartiteDims, EnsembleTag, PureState, UnitaryMatrix
 from .entanglement import _b_major, _reshuffled, purity_batch, reduced_density_batch
 
 __all__ = [
-    "DegenerateSpectrumError",
     "SpectralDecomposition",
     "SpectralBlock",
     "EntropySeries",
@@ -62,18 +61,6 @@ _TIME_AVERAGE_CHUNK = 20_000
 # phi_a + phi_b = 2 atan(c) (mod 2pi); an irrational c keeps that off
 # the simple multiples of pi that permutations and test gates carry
 _EIGH_MIX = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-class DegenerateSpectrumError(ValueError):
-    """Eigenphases too close, or a fourth-order phase resonance.
-
-    The infinite-time average of the linear entropy keeps exactly the
-    terms with phi_a + phi_b = phi_c + phi_d (mod 2pi).  The closed
-    formula assumes only the trivial solutions {a, b} = {c, d} survive;
-    when some nontrivial combination is resonant (or phases are
-    degenerate so pairings merge) that assumption fails and the caller
-    must fall back to an explicit long-time average.
-    """
 
 
 @dataclass(eq=False)
@@ -282,12 +269,11 @@ def operator_entanglement_series(u: UnitaryMatrix, n_max: int) -> EntropySeries:
 
 
 def time_average_entropy(u: UnitaryMatrix, psi: PureState, n_total: int = 100_000) -> float:
-    """Brute-force mean of S_L(U^n psi) over n = 1..n_total.
+    """Brute-force mean of S_L(U^n psi) over n = 1..n_total; oracle only.
 
     Converges to the infinite-time average like 1/n_total (the partial
-    sums of the oscillating terms stay bounded).  This is the fallback
-    when :func:`asymptotic_entropy_spectral` rejects the spectrum, and
-    the oracle it is verified against.
+    sums of the oscillating terms stay bounded).  Tests check
+    :func:`asymptotic_entropy_spectral` against it; no estimator uses it.
     """
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
@@ -302,71 +288,92 @@ def time_average_entropy(u: UnitaryMatrix, psi: PureState, n_total: int = 100_00
 
 
 def _min_circular_gap(points: np.ndarray) -> np.ndarray:
-    """Smallest spacing between points on the circle [0, 2pi), per row of (k, m)."""
+    """Smallest spacing between points on the circle [0, 2pi), per row of (k, m); 2pi for m = 1."""
     s = np.sort(points, axis=-1)
     wrap = s[:, 0] + _TWO_PI - s[:, -1]
-    return np.minimum(np.diff(s, axis=-1).min(axis=-1), wrap)
+    return np.minimum(np.diff(s, axis=-1).min(axis=-1, initial=np.inf), wrap)
 
 
-def _resonant(phases: np.ndarray) -> np.ndarray:
-    """Per row of (k, d) phases: degenerate, or a fourth-order resonance.
+def _pair_clusters(phases: np.ndarray) -> tuple[np.ndarray, list]:
+    """Clusters of the pair sums phi_a + phi_c (a <= c) mod 2pi of (k, d) phases.
 
-    A coincidence of pairwise sums phi_a + phi_b (a <= b) mod 2pi is a
-    fourth-order resonance and breaks the pairing argument, as does a
-    degenerate phase.
+    Sorted sums closer than 1e-9 join (single linkage, across 2pi too).
+    Returns resonant (k,), the rows with a cluster of more than one
+    pair, and (row, a, c) for each such cluster with its pairs' index
+    arrays.  A degenerate phase phi_a = phi_b joins the sums (a, c) and
+    (b, c).
     """
-    k, d = phases.shape
-    if d < 2:
-        return np.zeros(k, dtype=bool)
-    iu, ju = np.triu_indices(d)
+    iu, ju = np.triu_indices(phases.shape[-1])
     sums = np.mod(phases[:, iu] + phases[:, ju], _TWO_PI)
-    return (_min_circular_gap(phases) < _RESONANCE_TOL) | (_min_circular_gap(sums) < _RESONANCE_TOL)
+    s = np.sort(sums, axis=-1)
+    # joined[:, j]: sorted sums j and j + 1 share a cluster, the last sum wrapping to the first
+    joined = np.diff(s, axis=-1, append=s[:, :1] + _TWO_PI) < _RESONANCE_TOL
+    resonant = joined.any(axis=-1)
+    clusters = []
+    # argsort costs 3-4x a sort, so only the rare resonant rows take it
+    for i in np.flatnonzero(resonant):
+        # cut the ring after its first break, so that no cluster straddles the cut
+        start = np.argmin(joined[i]) + 1
+        ring = np.roll(np.argsort(sums[i]), -start)
+        cuts = np.flatnonzero(~np.roll(joined[i], -start)) + 1
+        clusters += [(i, iu[g], ju[g]) for g in np.split(ring, cuts[:-1]) if len(g) > 1]
+    return resonant, clusters
 
 
 def asymptotic_entropies(block: SpectralBlock, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Infinite-time averages of S_L(U^n psi) from the eigenphase pairing.
 
-    With U = sum_a e^{i phi_a} |z_a><z_a| and p_a = |<z_a|psi>|^2, the
-    time average of tr rho_A(n)^2 keeps only the phase-matched pairings
-    (a, b) vs (a, b) and (a, b) vs (b, a), giving
+    With U = sum_a e^{i phi_a} |z_a><z_a| and y_a = <z_a|psi> z_a,
+    tr rho_A(n)^2 = <psi(n) psi(n)|F_A|psi(n) psi(n)> (F_A swaps the
+    two A factors) oscillates with the pair sums phi_a + phi_c, and
+    its time average is sum_K <P_K|F_A|P_K> over the clusters K of
+    equal pair sums, P_K = sum_{(a,c) in K} y_a (x) y_c.  Clusters of
+    one pair {(a, c), (c, a)} sum to, with p_a = |<z_a|psi>|^2,
 
         <S_L> = 1 - sum_ab p_a p_b (T^A_ab + T^B_ab) + sum_a p_a^2 T^A_aa
 
-    where T^A_ab = tr(rho_A^a rho_A^b) for the eigenvector reduced
-    density matrices, and likewise for B.  Each T is the Gram matrix
-    of the flattened (Hermitian) rho^a.  The diagonal correction
-    removes the double count of the a = b pairing (T^A_aa = T^B_aa).
+    where T^A_ab = tr(rho_A^a rho_A^b) is the Gram matrix of the
+    eigenvectors' reduced densities, likewise T^B; the last term
+    removes the double count of a = b (T^A_aa = T^B_aa).  Every sample
+    takes this formula, and each cluster of more than one pair (a
+    degenerate phase, or phi_a + phi_c = phi_b + phi_e) adds
+    <P_K|F_A|P_K> less its pairs' Gram terms, with P_K = Y M_K Y^T
+    (columns y_a, M_K the 0/1 marks of K's ordered pairs) a d x d matrix.
 
-    states (k, d) -> (values (k,), resonant (k,)).  The formula needs
-    a nondegenerate, nonresonant spectrum: where resonant is True the
-    value is NaN and the caller must fall back to a time average.
+    Sums less than delta = 1e-9 apart share a cluster, so for them the
+    value is the average over times much shorter than 1/delta; for
+    true degeneracies and resonances it is exact.
+
+    states (k, d) -> (values (k,), resonant (k,)), resonant marking
+    the samples with a cluster of more than one pair.
     """
     d_a, d_b, d = block.dims.d_a, block.dims.d_b, block.dims.d
     z = block.vectors
     k = len(z)
-    p = np.abs(_coefficients(block, states)) ** 2
+    coeffs = _coefficients(block, states)
+    p = np.abs(coeffs) ** 2
     rho_a = reduced_density_batch(z, d_a, d_b).reshape(k, d, -1)
     rho_b = reduced_density_batch(_b_major(z, d_a, d_b), d_b, d_a).reshape(k, d, -1)
     t_a = (rho_a @ rho_a.conj().swapaxes(-1, -2)).real
     t_b = (rho_b @ rho_b.conj().swapaxes(-1, -2)).real
     pair = (p[:, None, :] @ (t_a + t_b) @ p[:, :, None])[:, 0, 0]
     avg_purity = pair - np.sum(p * p * np.diagonal(t_a, axis1=-2, axis2=-1), axis=-1)
-    resonant = _resonant(block.phases)
-    return np.where(resonant, np.nan, 1.0 - avg_purity), resonant
+    resonant, clusters = _pair_clusters(block.phases)
+    for i, a, c in clusters:
+        m = np.zeros((d, d))
+        m[a, c] = m[c, a] = 1.0
+        y = z[i] * coeffs[i]
+        pk = (y @ m @ y.T).reshape(d_a, d_b, d_a, d_b)
+        own = (p[i] @ (m * (t_a[i] + t_b[i])) @ p[i]
+               - np.sum(np.diagonal(m) * p[i] * p[i] * np.diagonal(t_a[i])))
+        avg_purity[i] += np.vdot(pk, pk.transpose(2, 1, 0, 3)).real - own
+    return 1.0 - avg_purity, resonant
 
 
 def asymptotic_entropy_spectral(u: UnitaryMatrix, psi: PureState) -> float:
-    """Infinite-time average of S_L(U^n psi); see :func:`asymptotic_entropies`.
-
-    Raises DegenerateSpectrumError for a degenerate or resonant spectrum.
-    """
+    """Infinite-time average of S_L(U^n psi); see :func:`asymptotic_entropies`."""
     _check_pair(u, psi)
-    values, resonant = asymptotic_entropies(_block_of(u), psi.amplitudes[None])
-    if resonant[0]:
-        raise DegenerateSpectrumError(
-            f"eigenphase spacing or fourth-order phase resonance within {_RESONANCE_TOL}; "
-            "the time average has no closed pairing form")
-    return float(values[0])
+    return float(asymptotic_entropies(_block_of(u), psi.amplitudes[None])[0][0])
 
 
 def form_factors(phases: np.ndarray, n_max: int) -> np.ndarray:

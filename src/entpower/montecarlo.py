@@ -28,12 +28,12 @@ from . import __version__
 from .closedform import CaseTag
 from .dynamics import (
     SpectralBlock,
+    _min_circular_gap,
     asymptotic_entropies,
     decompose_block,
     entropy_curves,
     form_factors,
     operator_curves,
-    time_average_entropy,
 )
 from .ensembles import (
     BipartiteDims,
@@ -41,7 +41,6 @@ from .ensembles import (
     FieldTag,
     PureState,
     RandomStream,
-    UnitaryMatrix,
     basis_product_state,
     product_state,
     random_product_states,
@@ -56,6 +55,7 @@ __all__ = [
     "ExperimentConfig",
     "ResultRow",
     "ResultTable",
+    "check_parallelism",
     "run_experiment",
     "z_score",
     "CHUNK_SIZE",
@@ -119,7 +119,6 @@ class ExperimentConfig:
     n_max: int
     samples: int
     master_seed: int
-    time_average_n: int = 100_000
     fixed_state_seed: int | None = None
     fixed_state_field: FieldTag = FieldTag.REAL
 
@@ -136,8 +135,6 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.fixed_state_seed is not None and not 0 <= self.fixed_state_seed < _SEED_LIMIT:
             raise ConfigError(f"fixed_state_seed must be in [0, 2**64), got {self.fixed_state_seed}")
-        if self.time_average_n < 1:
-            raise ConfigError(f"time_average_n must be >= 1, got {self.time_average_n}")
         if self.kind in _STATE_KINDS:
             if self.state_mode is StateMode.NONE:
                 raise ConfigError(f"{self.kind.value} needs an initial-state mode")
@@ -226,20 +223,22 @@ def _block_states(cfg: ExperimentConfig, fixed: PureState | None,
 class _Tally:
     """What a chunk reports beside its statistics: numerical health and stage seconds."""
 
-    fallbacks: int = 0
+    resonant: int = 0
     redos: int = 0
     max_residual: float = 0.0
+    min_phase_gap: float = np.inf
     seconds: dict = field(default_factory=lambda: dict.fromkeys(_STAGES, 0.0))
 
     def add(self, other: _Tally) -> None:
-        self.fallbacks += other.fallbacks
+        self.resonant += other.resonant
         self.redos += other.redos
         self.max_residual = max(self.max_residual, other.max_residual)
+        self.min_phase_gap = min(self.min_phase_gap, other.min_phase_gap)
         for stage, s in other.seconds.items():
             self.seconds[stage] += s
 
 
-def _observe(cfg: ExperimentConfig, block: SpectralBlock, u: np.ndarray, psi: np.ndarray | None,
+def _observe(cfg: ExperimentConfig, block: SpectralBlock, psi: np.ndarray | None,
              tally: _Tally) -> np.ndarray:
     """One row of values per unitary of the block, shape (k, n_rows)."""
     if cfg.kind is ExperimentKind.EP_CURVE:
@@ -251,11 +250,7 @@ def _observe(cfg: ExperimentConfig, block: SpectralBlock, u: np.ndarray, psi: np
     if cfg.kind is ExperimentKind.FOURTH_MOMENT:
         return form_factors(block.phases, cfg.n_max) ** 2
     values, resonant = asymptotic_entropies(block, psi)
-    for i in np.flatnonzero(resonant):
-        tally.fallbacks += 1
-        values[i] = time_average_entropy(UnitaryMatrix(cfg.dims, u[i], cfg.ensemble),
-                                         PureState(cfg.dims, psi[i], FieldTag.COMPLEX),
-                                         cfg.time_average_n)
+    tally.resonant += int(np.count_nonzero(resonant))
     return values[:, None]
 
 
@@ -285,7 +280,7 @@ def _chunk_stats(cfg: ExperimentConfig, start: int, count: int):
         t1 = time.perf_counter()
         block = decompose_block(u, cfg.dims, symmetric=cfg.ensemble is EnsembleTag.COE)
         t2 = time.perf_counter()
-        values = _observe(cfg, block, u, psi, tally)
+        values = _observe(cfg, block, psi, tally)
         t3 = time.perf_counter()
         for k, x in enumerate(values, start=offset):
             delta = x - mean
@@ -294,6 +289,7 @@ def _chunk_stats(cfg: ExperimentConfig, start: int, count: int):
         t4 = time.perf_counter()
         tally.redos += block.redos
         tally.max_residual = max(tally.max_residual, float(block.residuals.max()))
+        tally.min_phase_gap = min(tally.min_phase_gap, float(_min_circular_gap(block.phases).min()))
         for stage, s in zip(_STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             tally.seconds[stage] += s
     return count, mean, m2, tally
@@ -314,21 +310,27 @@ def _merge_chunks(parts):
     return count, mean, m2, tally
 
 
+def check_parallelism(parallelism: int) -> int:
+    """parallelism itself if it is a positive thread count; ConfigError otherwise."""
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
+    return parallelism
+
+
 def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
     """Run one experiment; rows are identical for any parallelism.
 
     EP_CURVE / OPENT_CURVE produce one row per n = 1..n_max;
     FORM_FACTOR / FOURTH_MOMENT likewise for |t_n|^2 / |t_n|^4;
-    ASYMPTOTIC produces a single row with the n = -1 sentinel, falling
-    back from the spectral formula to the direct time average when a
-    sample's spectrum is flagged degenerate.  More than 1% fallbacks
-    adds a warning to the metadata.  The metadata's "numerics" reports
-    Schur redos, the worst reconstruction residual and the fallback
-    count; "timings" the seconds spent in each stage, summed over all
-    blocks, chunks and worker threads, so that with parallelism > 1 they
-    can add up to more than "wall_seconds".  "env" records the Python,
-    numpy and scipy versions, the CPU count, the parallelism and any
-    BLAS thread variables set.
+    ASYMPTOTIC produces a single row with the n = -1 sentinel.  The
+    metadata's "numerics" reports Schur redos, the worst reconstruction
+    residual, the smallest eigenphase gap and the samples whose pair
+    sums resonate (ASYMPTOTIC only, else 0); "timings" the seconds
+    spent in each stage, summed over all blocks, chunks and worker
+    threads, so that with parallelism > 1 they can add up to more than
+    "wall_seconds".  "env" records the Python, numpy and scipy
+    versions, the CPU count, the parallelism and any BLAS thread
+    variables set.
 
     Chunks run on a pool of `parallelism` threads: a block's work is
     large numpy/LAPACK calls that release the GIL.  If a chunk raises
@@ -336,8 +338,7 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
     cancelled and the exception reaches the caller once the running
     ones finish.
     """
-    if parallelism < 1:
-        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
+    check_parallelism(parallelism)
     t0 = time.perf_counter()
     spans = [(s, min(CHUNK_SIZE, cfg.samples - s)) for s in range(0, cfg.samples, CHUNK_SIZE)]
     if parallelism == 1 or len(spans) == 1:
@@ -357,22 +358,17 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
     else:
         ns = list(range(1, cfg.n_max + 1))
     rows = [ResultRow(n, float(mean[i]), float(stderr[i]), count) for i, n in enumerate(ns)]
-    warnings = []
-    if tally.fallbacks > 0.01 * cfg.samples:
-        warnings.append(
-            f"degeneracy fallback used for {tally.fallbacks}/{cfg.samples} samples; "
-            "asymptotic estimate mixes spectral and direct averages")
     wall = time.perf_counter() - t0
     metadata = {
         "config": cfg.to_dict(),
         "version": __version__,
         "wall_seconds": wall,
         "samples_per_second": cfg.samples / wall,
-        "fallback_count": tally.fallbacks,
         "numerics": {
             "decomposition_redos": tally.redos,
             "max_residual": tally.max_residual,
-            "fallback_count": tally.fallbacks,
+            "min_phase_gap": tally.min_phase_gap,
+            "resonant_samples": tally.resonant,
         },
         "timings": {f"{stage}_s": s for stage, s in tally.seconds.items()},
         "env": {
@@ -383,7 +379,6 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
             "parallelism": parallelism,
             "thread_env": {k: os.environ[k] for k in _THREAD_ENV if k in os.environ},
         },
-        "warnings": warnings,
     }
     return ResultTable(rows, metadata)
 

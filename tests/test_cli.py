@@ -8,7 +8,14 @@ from entpower import cli
 from entpower.cli import main, table_from_json, table_to_csv, table_to_json
 from entpower.closedform import CaseTag, ep1, ep_inf, op_ent_cue
 from entpower.ensembles import EnsembleTag
-from entpower.montecarlo import ExperimentConfig, ExperimentKind, StateMode, run_experiment
+from entpower.montecarlo import (
+    ExperimentConfig,
+    ExperimentKind,
+    ResultRow,
+    ResultTable,
+    StateMode,
+    run_experiment,
+)
 
 EP_SMALL = ["ep-curve", "--da", "2", "--db", "3", "--nmax", "4", "--samples", "120", "--seed", "5"]
 
@@ -158,10 +165,16 @@ def test_config_values_are_type_checked(capsys, monkeypatch, tmp_path, command, 
     (["fit", "--format", "json"], None),
     (["verify"], {"kind": "ep-curve", "out": "v.txt"}),
     (["fit"], {"format": "json"}),
+    (["asymptotic", "--time-average-n", "5"], None),
+    (["verify", "--kind", "asymptotic", "--time-average-n", "5"], None),
+    (["asymptotic"], {"time_average_n": 5}),
 ], ids=["verify-out", "verify-format", "fit-out", "fit-format", "verify-config-out",
-        "fit-config-format"])
+        "fit-config-format", "asymptotic-time-average-n", "verify-time-average-n",
+        "asymptotic-config-time-average-n"])
 def test_verify_and_fit_reject_output_flags(capsys, monkeypatch, tmp_path, argv, config):
-    # both print their gate lines to stdout and never had an output file
+    # verify and fit print their gate lines to stdout and never had an
+    # output file; no subcommand takes --time-average-n since asymptotes
+    # no longer fall back to a brute-force time average
     monkeypatch.setattr(cli, "run_experiment", _no_sampling)
     monkeypatch.chdir(tmp_path)
     argv = argv + ["--da", "2", "--db", "2"]
@@ -194,6 +207,17 @@ def test_unwritable_out_exits_three_before_sampling(capsys, monkeypatch, tmp_pat
     assert code == 3
     assert out == ""
     assert err.startswith("i/o error: ")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_invalid_parallelism_exits_two_before_opening_out(capsys, monkeypatch, tmp_path, value):
+    monkeypatch.setattr(cli, "run_experiment", _no_sampling)
+    out_path = tmp_path / "f.csv"
+    code, out, err = run_cli(capsys, EP_SMALL + ["--parallelism", value, "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parallelism must be >= 1") and len(err.splitlines()) == 1
+    assert not out_path.exists()
 
 
 def test_missing_config_file_is_io_error(capsys):
@@ -283,6 +307,31 @@ def test_verify_gate_failure_exits_one(capsys):
         "--nmax", "2", "--samples", "400", "--seed", "21", "--gate-sigma", "0.001"])
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "opent-curve", "--da", "1", "--db", "3", "--nmax", "3", "--samples", "20000"],
+    ["--kind", "form-factor", "--da", "1", "--db", "1", "--nmax", "2", "--samples", "50"],
+], ids=["opent-da1", "form-factor-d1"])
+def test_verify_passes_rows_exact_up_to_roundoff(capsys, argv):
+    # rows whose every sample equals the target up to roundoff have a
+    # stderr near 0, so |z| can be large (+23.97, -7.00) on a 2e-16 deviation
+    code, out, err = run_cli(capsys, ["verify"] + argv)
+    assert code == 0, out + err
+    lines = out.splitlines()
+    assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+@pytest.mark.parametrize("offset,code", [(1e-13, 0), (1e-6, 1)], ids=["within-floor", "beyond"])
+def test_verify_zero_stderr_row_is_gated_not_a_usage_error(capsys, monkeypatch, offset, code):
+    def exact_rows(cfg, parallelism=1):
+        return ResultTable([ResultRow(1, 1.0 + offset, 0.0, cfg.samples)], {})
+
+    monkeypatch.setattr(cli, "run_experiment", exact_rows)
+    got, out, _ = run_cli(capsys, ["verify", "--kind", "form-factor", "--da", "1", "--db", "1",
+                                   "--nmax", "1", "--samples", "10"])
+    assert got == code
+    assert out.startswith("PASS" if code == 0 else "FAIL")
 
 
 def test_verify_unsupported_targets(capsys):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from entpower import dynamics
 from entpower.dynamics import (
-    DegenerateSpectrumError,
     asymptotic_entropy_spectral,
     decompose_block,
     entropy_series,
@@ -206,23 +205,44 @@ def test_asymptotic_of_diagonal_map_is_zero():
     assert abs(asymptotic_entropy_spectral(u, basis_product_state(DIMS45))) < 1e-12
 
 
-def test_asymptotic_rejects_degenerate_phases():
-    u = diag_unitary([0.3, 0.3, 1.0, 2.0], BipartiteDims(2, 2))
-    psi = basis_product_state(BipartiteDims(2, 2))
-    with pytest.raises(DegenerateSpectrumError):
-        asymptotic_entropy_spectral(u, psi)
+def _swap(d):
+    m = np.zeros((d * d, d * d))
+    for a in range(d):
+        for b in range(d):
+            m[b * d + a, a * d + b] = 1.0
+    return m
 
 
-def test_asymptotic_rejects_fourth_order_resonance():
-    # 0.1 + 0.5 = 0.2 + 0.4: distinct phases, resonant pair sums
-    u = diag_unitary([0.1, 0.5, 0.2, 0.4], BipartiteDims(2, 2))
-    psi = basis_product_state(BipartiteDims(2, 2))
-    with pytest.raises(DegenerateSpectrumError):
-        asymptotic_entropy_spectral(u, psi)
+def haar_diagonal(phases, dims, seed):
+    """diag(e^{i phases}) in the eigenbasis of a CUE draw."""
+    z = cue(seed, dims=dims).entries
+    return UnitaryMatrix(dims, (z * np.exp(1j * np.asarray(phases))) @ z.conj().T,
+                         EnsembleTag.FIXED)
 
 
-def test_degenerate_error_is_value_error():
-    assert issubclass(DegenerateSpectrumError, ValueError)
+@pytest.mark.parametrize("phases", [
+    [0.3, 0.3, 1.0, 2.0],
+    [0.1, 0.5, 0.2, 0.4],  # 0.1 + 0.5 = 0.2 + 0.4: distinct phases, resonant pair sums
+], ids=["degenerate", "fourth-order-resonance"])
+def test_asymptotic_resonant_spectrum_matches_time_average(phases):
+    dims = BipartiteDims(2, 2)
+    u = haar_diagonal(phases, dims, 47)
+    psi = random_state(4, FieldTag.COMPLEX, RandomStream(47, 1), dims=dims)
+    # the direct average converges like 1/n_total: here within about 1e-5
+    assert abs(asymptotic_entropy_spectral(u, psi) - time_average_entropy(u, psi, 100_000)) < 1e-4
+
+
+@pytest.mark.parametrize("entries", [np.eye(9), _swap(3)], ids=["identity", "swap"])
+def test_asymptotic_exact_for_identity_and_swap(entries):
+    # every iterate keeps S_L(psi) (SWAP turns rho_A into rho_B, of equal
+    # purity), so that is the time average; the brute-force one drifts by
+    # ~1e-12 over 1e5 steps as the roundoff in the phase pi accumulates
+    dims = BipartiteDims(3, 3)
+    u = UnitaryMatrix(dims, entries, EnsembleTag.FIXED)
+    psi = random_state(9, FieldTag.COMPLEX, RandomStream(53, 0), dims=dims)
+    assert linear_entropy(psi) > 0.1  # entangled
+    assert abs(asymptotic_entropy_spectral(u, psi) - linear_entropy(psi)) < 1e-12
+    assert abs(asymptotic_entropy_spectral(u, psi) - time_average_entropy(u, psi, 1_000)) < 1e-12
 
 
 def test_form_factor_identity():
@@ -239,14 +259,6 @@ def test_form_factor_matches_trace_of_powers():
         assert abs(series[n - 1] - abs(t) ** 2) < 1e-8
         t_direct = np.trace(np.linalg.matrix_power(u.entries, n))
         assert abs(series[n - 1] - abs(t_direct) ** 2) < 1e-8
-
-
-def _swap(d):
-    m = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            m[b * d + a, a * d + b] = 1.0
-    return m
 
 
 @pytest.mark.parametrize("entries", [

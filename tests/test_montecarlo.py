@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import entpower
-from entpower import montecarlo
+from entpower import dynamics, montecarlo
 from entpower.dynamics import form_factor_series
 from entpower.ensembles import EnsembleTag, FieldTag, RandomStream, sample_cue, sample_unitaries
 from entpower.montecarlo import (
@@ -150,10 +150,17 @@ def test_metadata_numerics_merge_over_blocks_and_chunks(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 37)
     monkeypatch.setattr(montecarlo, "decompose_block", one_redo)
-    numerics = run_experiment(small_config()).metadata["numerics"]
+    cfg = small_config()
+    numerics = run_experiment(cfg).metadata["numerics"]
     assert numerics["decomposition_redos"] == 16 * 3 + 1
     assert 0 < numerics["max_residual"] < 1e-10
-    assert numerics["fallback_count"] == 0
+    assert numerics["resonant_samples"] == 0
+    # the smallest circular eigenphase gap over all 600 samples, from eigvals
+    us = sample_unitaries(cfg.ensemble, cfg.dims.d,
+                          [RandomStream(cfg.master_seed, i) for i in range(cfg.samples)])
+    phases = np.sort(np.mod(np.angle(np.linalg.eigvals(us)), 2 * np.pi), axis=-1)
+    gaps = np.diff(phases, axis=-1, append=phases[:, :1] + 2 * np.pi)
+    assert abs(numerics["min_phase_gap"] - gaps.min()) < 1e-10
 
 
 def test_metadata_reports_package_version():
@@ -271,21 +278,24 @@ def test_asymptotic_sentinel_row():
     assert len(table.rows) == 1
     assert table.rows[0].n == -1
     assert 0.0 < table.rows[0].mean < 1.0
-    assert table.metadata["fallback_count"] == 0
+    assert table.metadata["numerics"]["resonant_samples"] == 0
 
 
-def test_asymptotic_fallback_warning(monkeypatch):
-    def always_degenerate(block, states):
-        return np.full(len(states), np.nan), np.ones(len(states), dtype=bool)
+def test_asymptotic_resonant_sample_needs_no_time_average(monkeypatch):
+    # sample 3588 of master seed 2024 is a real COE draw with a pair-sum
+    # resonance within 1e-9; it must go through the pairing formula too
+    def no_time_average(*args, **kwargs):
+        raise AssertionError("brute-force time average called")
 
-    monkeypatch.setattr(montecarlo, "asymptotic_entropies", always_degenerate)
-    cfg = small_config(kind=ExperimentKind.ASYMPTOTIC, n_max=1, samples=20,
-                       time_average_n=2_000)
+    monkeypatch.setattr(montecarlo, "time_average_entropy", no_time_average, raising=False)
+    monkeypatch.setattr(dynamics, "time_average_entropy", no_time_average)
+    cfg = small_config(kind=ExperimentKind.ASYMPTOTIC, ensemble=EnsembleTag.COE,
+                       state_mode=StateMode.RANDOM_REAL_PRODUCT, d_a=4, d_b=5, n_max=1,
+                       samples=3600, master_seed=2024)
     table = run_experiment(cfg)
-    assert table.metadata["fallback_count"] == 20
-    assert table.metadata["warnings"]
-    # fallback estimates are still the physical time average
-    assert 0.0 < table.rows[0].mean < 1.0
+    row = table.rows[0]
+    assert np.isfinite(row.mean) and np.isfinite(row.stderr) and row.stderr > 0
+    assert table.metadata["numerics"]["resonant_samples"] == 1
 
 
 def test_fixed_state_choice_is_statistically_redundant():
