@@ -8,7 +8,9 @@ runs, and `fit` for the form-factor model of the CUE entropy curve.
 Flag values override config-file values (--config, flat JSON keyed by
 flag names); defaults fill the rest.  --seed falls back to the
 RMT_SEED environment variable, then 0.  Exit codes: 0 pass, 1
-statistical gate failure, 2 usage or config error, 3 I/O error.
+statistical gate failure, 2 usage or config error (dimensions too
+large for memory included), 3 I/O error, 4 a sample's decomposition
+failed (the error line names the master seed and sample index).
 """
 
 from __future__ import annotations
@@ -23,26 +25,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .closedform import (
-    CaseTag,
-    cue_form_factor,
-    cue_fourth_moment,
-    ep1,
-    ep_inf,
-    fit_form_factor_model,
-    model_prediction,
-    op_ent_cue,
-)
+from .closedform import CaseTag, ep1, ep_inf, gate_form_factor_fit, op_ent_cue
 from .dynamics import EntropySeries
 from .ensembles import EnsembleTag
 from .montecarlo import (
     ConfigError,
     ExperimentConfig,
     ExperimentKind,
+    NumericalError,
     ResultRow,
     ResultTable,
     StateMode,
     check_parallelism,
+    exact_targets,
     run_experiment,
     z_score,
 )
@@ -321,45 +316,19 @@ def _cmd_table(opts: dict) -> int:
     return 0
 
 
-def _verify_targets(cfg: ExperimentConfig) -> list[tuple[int, str, Fraction | int]] | None:
-    """Anchor rows with closed-form targets for a config, None if unsupported."""
-    da, db, d = cfg.d_a, cfg.d_b, cfg.d_a * cfg.d_b
-    case = cfg.case_tag()
-    if cfg.kind is ExperimentKind.EP_CURVE:
-        if cfg.ensemble is EnsembleTag.CUE:
-            targets = [(1, "ep1(a)", ep1(CaseTag.A_CUE_COMPLEX, da, db))]
-            targets += [(n, "epinf(a)", ep_inf(CaseTag.A_CUE_COMPLEX, da, db))
-                        for n in range(d, cfg.n_max + 1)]
-            return targets
-        if case is None:
-            return None
-        # COE curves approach their asymptote smoothly, so only n = 1
-        # carries an exact finite-n value
-        return [(1, "ep1(b,c)", ep1(case, da, db))]
-    if cfg.kind is ExperimentKind.OPENT_CURVE:
-        if cfg.ensemble is EnsembleTag.CUE:
-            return [(1, "opent_cue", op_ent_cue(da, db))]
-        return None
-    if cfg.kind is ExperimentKind.FORM_FACTOR:
-        if cfg.ensemble is EnsembleTag.CUE:
-            return [(n, "form_factor", cue_form_factor(n, d)) for n in range(1, cfg.n_max + 1)]
-        return None
-    if cfg.kind is ExperimentKind.FOURTH_MOMENT:
-        if cfg.ensemble is EnsembleTag.CUE:
-            return [(n, "fourth_moment", cue_fourth_moment(n, d)) for n in range(1, cfg.n_max + 1)]
-        return None
-    if case is None:
-        return None
-    return [(-1, f"epinf({case.value})", ep_inf(case, da, db))]
-
-
 def _cmd_verify(opts: dict) -> int:
     kind_name = opts.get("kind")
     if kind_name is None:
         raise ConfigError("verify requires --kind")
+    # verify takes the union of its kinds' options; each run takes its own
+    kind_dests = {a.dest for a in build_parser()[1][kind_name]._actions}
+    foreign = sorted(opts.keys() - kind_dests - {"kind", "gate_sigma"})
+    if foreign:
+        names = ", ".join("--" + dest.replace("_", "-") for dest in foreign)
+        raise ConfigError(f"verify --kind {kind_name} takes no {names}")
     cfg = _experiment_config(_resolve_kind(kind_name, opts), opts)
-    targets = _verify_targets(cfg)
-    if targets is None:
+    targets = exact_targets(cfg)
+    if not targets:
         raise ConfigError(
             f"no closed-form target for {kind_name} with ensemble {cfg.ensemble.value} "
             f"and state mode {cfg.state_mode.value}")
@@ -388,22 +357,16 @@ def _cmd_fit(opts: dict) -> int:
     if cfg.n_max < 2 * d:
         raise ConfigError(f"fit needs the plateau resolved: --nmax at least {2 * d}")
     table = run_experiment(cfg, parallelism=opts.get("parallelism", 1))
-    ns = np.array([r.n for r in table.rows])
-    means = np.array([r.mean for r in table.rows])
-    stderrs = np.array([r.stderr for r in table.rows])
-    fit = fit_form_factor_model(EntropySeries(ns, means), d)
-    pooled = float(np.sqrt(np.mean(stderrs**2)))
-    plateau = float(model_prediction(fit, np.array([2 * d]), d)[0])
-    target = ep_inf(CaseTag.A_CUE_COMPLEX, cfg.d_a, cfg.d_b)
-    plateau_dev = abs(plateau - float(target)) / pooled
-    residual_ok = fit.residual_rms < 3.0 * pooled
-    plateau_ok = plateau_dev < 3.0
+    series = EntropySeries(np.array([r.n for r in table.rows]),
+                           np.array([r.mean for r in table.rows]))
+    gate = gate_form_factor_fit(series, [r.stderr for r in table.rows], cfg.d_a, cfg.d_b)
+    fit = gate.fit
     print(f"c1={_fmt(fit.c1)} c2={_fmt(fit.c2)} c3={_fmt(fit.c3)} c4={_fmt(fit.c4)}")
-    print(f"{'PASS' if residual_ok else 'FAIL'} residual_rms={_fmt(fit.residual_rms)} "
-          f"pooled_stderr={_fmt(pooled)} gate=3x")
-    print(f"{'PASS' if plateau_ok else 'FAIL'} plateau={_fmt(plateau)} target={target} "
-          f"deviation={plateau_dev:.3f} pooled stderr, gate=3")
-    return 0 if residual_ok and plateau_ok else 1
+    print(f"{'PASS' if gate.residual_ok else 'FAIL'} residual_rms={_fmt(fit.residual_rms)} "
+          f"pooled_stderr={_fmt(gate.pooled_stderr)} gate=3x")
+    print(f"{'PASS' if gate.plateau_ok else 'FAIL'} plateau={_fmt(gate.plateau)} "
+          f"target={gate.target} deviation={gate.plateau_deviation:.3f} pooled stderr, gate=3")
+    return 0 if gate.residual_ok and gate.plateau_ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -411,6 +374,7 @@ def main(argv: list[str] | None = None) -> int:
         inv = parse_invocation(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    opts = {}
     try:
         opts = _merged_options(inv)
         if inv.subcommand == "table":
@@ -420,6 +384,14 @@ def main(argv: list[str] | None = None) -> int:
         if inv.subcommand == "fit":
             return _cmd_fit(opts)
         return _cmd_experiment(inv, opts)
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        d = opts.get("da", 1) * opts.get("db", 1)
+        print(f"error: d = {d} is too large for memory: {str(exc) or 'MemoryError'}",
+              file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "CaseTag",
     "FitResult",
+    "FitGate",
     "ep1",
     "op_ent_cue",
     "ep_inf",
@@ -32,6 +33,7 @@ __all__ = [
     "gap_leading",
     "fit_form_factor_model",
     "model_prediction",
+    "gate_form_factor_fit",
 ]
 
 
@@ -187,3 +189,32 @@ def fit_form_factor_model(series, d: int) -> FitResult:
 def model_prediction(fit: FitResult, ns: np.ndarray, d: int) -> np.ndarray:
     """Evaluate a fitted form-factor model at the given steps."""
     return _design_matrix(np.asarray(ns), d) @ np.array([fit.c1, fit.c2, fit.c3, fit.c4])
+
+
+@dataclass(frozen=True)
+class FitGate:
+    """Form-factor fit of a CUE entropy curve and its two 3-sigma checks.
+
+    Sigma is the pooled stderr, the RMS of the rows' stderrs.  The checks
+    are the residual RMS and the plateau at n = 2d against ep_inf(a).
+    """
+
+    fit: FitResult
+    pooled_stderr: float
+    plateau: float
+    target: Fraction
+    plateau_deviation: float
+    residual_ok: bool
+    plateau_ok: bool
+
+
+def gate_form_factor_fit(series, stderrs, d_a: int, d_b: int) -> FitGate:
+    """Fit and gate a CUE entropy curve (ns, values) reaching n = 2d, with each mean's stderr."""
+    d = _check_dims(d_a, d_b)
+    fit = fit_form_factor_model(series, d)
+    pooled = float(np.sqrt(np.mean(np.asarray(stderrs) ** 2)))
+    plateau = float(model_prediction(fit, np.array([2 * d]), d)[0])
+    target = ep_inf(CaseTag.A_CUE_COMPLEX, d_a, d_b)
+    deviation = abs(plateau - float(target)) / pooled
+    return FitGate(fit, pooled, plateau, target, deviation,
+                   fit.residual_rms < 3.0 * pooled, deviation < 3.0)

@@ -20,12 +20,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .closedform import CaseTag
+from .closedform import CaseTag, cue_form_factor, cue_fourth_moment, ep1, ep_inf, op_ent_cue
 from .dynamics import (
     SpectralBlock,
     _min_circular_gap,
@@ -42,17 +43,17 @@ from .ensembles import (
     PureState,
     RandomStream,
     basis_product_state,
-    product_state,
     random_product_states,
-    random_state,
     sample_unitaries,
 )
 
 __all__ = [
     "ConfigError",
+    "NumericalError",
     "ExperimentKind",
     "StateMode",
     "ExperimentConfig",
+    "exact_targets",
     "ResultRow",
     "ResultTable",
     "check_parallelism",
@@ -69,8 +70,6 @@ BLOCK_SIZE = 16
 _STAGES = ("sample", "decompose", "observe", "accumulate")
 # seeds become one 64-bit word of the Philox key
 _SEED_LIMIT = 2**64
-# fixed initial states draw from a stream index no sample index reaches
-_FIXED_STATE_STREAM = 2**63
 _ASYMPTOTIC_N = -1
 # BLAS thread settings worth echoing; they decide whether worker threads
 # and BLAS threads compete for the same cores
@@ -79,6 +78,10 @@ _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+class NumericalError(np.linalg.LinAlgError):
+    """A sample's decomposition failed; its message names the master seed and sample index."""
 
 
 class ExperimentKind(Enum):
@@ -104,11 +107,8 @@ class ExperimentConfig:
     """Declarative description of one Monte Carlo run.
 
     state_mode applies to EP_CURVE and ASYMPTOTIC only; the operator
-    kinds take NONE.  With FIXED_PRODUCT the default initial state is
-    |0>_A (x) |0>_B; setting fixed_state_seed draws one random product
-    state (components per fixed_state_field) once and reuses it for
-    every sample, which is how "the average over states is redundant"
-    claims get exercised.
+    kinds take NONE.  FIXED_PRODUCT starts every sample from
+    |0>_A (x) |0>_B.
     """
 
     kind: ExperimentKind
@@ -119,8 +119,6 @@ class ExperimentConfig:
     n_max: int
     samples: int
     master_seed: int
-    fixed_state_seed: int | None = None
-    fixed_state_field: FieldTag = FieldTag.REAL
 
     def __post_init__(self):
         if self.d_a < 1 or self.d_b < 1:
@@ -133,8 +131,6 @@ class ExperimentConfig:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         if not 0 <= self.master_seed < _SEED_LIMIT:
             raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
-        if self.fixed_state_seed is not None and not 0 <= self.fixed_state_seed < _SEED_LIMIT:
-            raise ConfigError(f"fixed_state_seed must be in [0, 2**64), got {self.fixed_state_seed}")
         if self.kind in _STATE_KINDS:
             if self.state_mode is StateMode.NONE:
                 raise ConfigError(f"{self.kind.value} needs an initial-state mode")
@@ -152,25 +148,46 @@ class ExperimentConfig:
             out[f.name] = v.value if isinstance(v, Enum) else v
         return out
 
-    def case_tag(self) -> CaseTag | None:
-        """Which closed-form case this run realizes, if any.
+    def case_tag(self) -> CaseTag:
+        """Which closed-form case this run realizes.
 
         CUE is case A for every initial-state mode (the Haar average
         makes the fixed/random distinction irrelevant).  COE splits on
-        the state field: real fixed or real random states are case C,
-        random complex states case B; a fixed complex state has no
-        invariance argument and therefore no tag.
+        the state field: random complex states are case B; the real
+        fixed state |0>|0> and random real states are case C, and so
+        are the operator kinds, which take no state.
         """
         if self.ensemble is EnsembleTag.CUE:
             return CaseTag.A_CUE_COMPLEX
         if self.state_mode is StateMode.RANDOM_COMPLEX_PRODUCT:
             return CaseTag.B_COE_COMPLEX
-        if self.state_mode is StateMode.RANDOM_REAL_PRODUCT:
-            return CaseTag.C_COE_REAL
-        if self.state_mode is StateMode.FIXED_PRODUCT:
-            if self.fixed_state_seed is None or self.fixed_state_field is FieldTag.REAL:
-                return CaseTag.C_COE_REAL
-        return None
+        return CaseTag.C_COE_REAL
+
+
+def exact_targets(cfg: ExperimentConfig) -> list[tuple[int, str, Fraction | int]]:
+    """Result rows with a closed-form mean, as (n, label, exact value).
+
+    CUE curves are exact at n = 1, the entropy also on its plateau
+    n >= d; COE entropy curves, which approach their asymptote smoothly,
+    at n = 1 only.  ASYMPTOTIC targets its n = -1 row.  Others give [].
+    """
+    da, db, d = cfg.d_a, cfg.d_b, cfg.d_a * cfg.d_b
+    case = cfg.case_tag()
+    cue = cfg.ensemble is EnsembleTag.CUE
+    if cfg.kind is ExperimentKind.EP_CURVE:
+        if not cue:
+            return [(1, "ep1(b,c)", ep1(case, da, db))]
+        return [(1, "ep1(a)", ep1(case, da, db))] + [
+            (n, "epinf(a)", ep_inf(case, da, db)) for n in range(d, cfg.n_max + 1)]
+    if cfg.kind is ExperimentKind.ASYMPTOTIC:
+        return [(_ASYMPTOTIC_N, f"epinf({case.value})", ep_inf(case, da, db))]
+    if not cue:
+        return []
+    if cfg.kind is ExperimentKind.OPENT_CURVE:
+        return [(1, "opent_cue", op_ent_cue(da, db))]
+    if cfg.kind is ExperimentKind.FORM_FACTOR:
+        return [(n, "form_factor", cue_form_factor(n, d)) for n in range(1, cfg.n_max + 1)]
+    return [(n, "fourth_moment", cue_fourth_moment(n, d)) for n in range(1, cfg.n_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -197,15 +214,6 @@ class ResultTable:
             if row.n == n:
                 return row
         raise KeyError(f"no row for n = {n}")
-
-
-def _fixed_state(cfg: ExperimentConfig) -> PureState:
-    if cfg.fixed_state_seed is None:
-        return basis_product_state(cfg.dims)
-    stream = RandomStream(cfg.fixed_state_seed, _FIXED_STATE_STREAM)
-    psi_a = random_state(cfg.d_a, cfg.fixed_state_field, stream)
-    psi_b = random_state(cfg.d_b, cfg.fixed_state_field, stream)
-    return product_state(psi_a, psi_b)
 
 
 def _block_states(cfg: ExperimentConfig, fixed: PureState | None,
@@ -254,6 +262,21 @@ def _observe(cfg: ExperimentConfig, block: SpectralBlock, psi: np.ndarray | None
     return values[:, None]
 
 
+def _decompose(cfg: ExperimentConfig, u: np.ndarray, first: int) -> SpectralBlock:
+    """decompose_block of samples first, first+1, ...; on failure, redo each alone to name it."""
+    symmetric = cfg.ensemble is EnsembleTag.COE
+    try:
+        return decompose_block(u, cfg.dims, symmetric=symmetric)
+    except np.linalg.LinAlgError:
+        for k in range(len(u)):
+            try:
+                decompose_block(u[k:k + 1], cfg.dims, symmetric=symmetric)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"decomposition of sample {first + k} of master seed "
+                                     f"{cfg.master_seed} failed: {exc}") from exc
+        raise
+
+
 def _chunk_stats(cfg: ExperimentConfig, start: int, count: int):
     """Accumulate samples [start, start+count) in index order.
 
@@ -269,7 +292,7 @@ def _chunk_stats(cfg: ExperimentConfig, start: int, count: int):
     n_rows = 1 if cfg.kind is ExperimentKind.ASYMPTOTIC else cfg.n_max
     mean = np.zeros(n_rows)
     m2 = np.zeros(n_rows)
-    fixed = _fixed_state(cfg) if cfg.state_mode is StateMode.FIXED_PRODUCT else None
+    fixed = basis_product_state(cfg.dims) if cfg.state_mode is StateMode.FIXED_PRODUCT else None
     tally = _Tally()
     for offset in range(0, count, BLOCK_SIZE):
         t0 = time.perf_counter()
@@ -278,7 +301,7 @@ def _chunk_stats(cfg: ExperimentConfig, start: int, count: int):
         u = sample_unitaries(cfg.ensemble, cfg.dims.d, streams)
         psi = _block_states(cfg, fixed, streams)
         t1 = time.perf_counter()
-        block = decompose_block(u, cfg.dims, symmetric=cfg.ensemble is EnsembleTag.COE)
+        block = _decompose(cfg, u, start + offset)
         t2 = time.perf_counter()
         values = _observe(cfg, block, psi, tally)
         t3 = time.perf_counter()
@@ -336,7 +359,8 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
     large numpy/LAPACK calls that release the GIL.  If a chunk raises
     (or the caller is interrupted), chunks not yet started are
     cancelled and the exception reaches the caller once the running
-    ones finish.
+    ones finish.  A failed decomposition raises NumericalError, which
+    names the master seed and the sample index.
     """
     check_parallelism(parallelism)
     t0 = time.perf_counter()

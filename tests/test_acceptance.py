@@ -14,17 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from entpower.cli import table_to_csv
-from entpower.closedform import (
-    CaseTag,
-    cue_form_factor,
-    cue_fourth_moment,
-    ep1,
-    ep_inf,
-    fit_form_factor_model,
-    gap_leading,
-    model_prediction,
-    op_ent_cue,
-)
+from entpower.closedform import CaseTag, ep1, ep_inf, gap_leading, gate_form_factor_fit
 from entpower.dynamics import (
     EntropySeries,
     asymptotic_entropy_spectral,
@@ -45,13 +35,19 @@ from entpower.montecarlo import (
     ExperimentConfig,
     ExperimentKind,
     StateMode,
+    exact_targets,
     run_experiment,
     z_score,
 )
 
-from conftest import ACCEPTANCE_LINES, curve_stats
+from conftest import ACCEPTANCE_LINES, FIXTURE_CONFIGS, curve_stats
 
 DIMS = BipartiteDims(4, 5)
+
+
+def targets(fixture: str) -> dict:
+    """Exact means of a reference run's rows, by n, as the closed forms give them."""
+    return {n: value for n, _, value in exact_targets(FIXTURE_CONFIGS[fixture])}
 
 
 def record(num: int, label: str, ok: bool, detail: str) -> None:
@@ -63,19 +59,20 @@ def record(num: int, label: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_cue_ep_first_step(cue_ep_run):
     row = cue_ep_run.row_for(1)
-    target = ep1(CaseTag.A_CUE_COMPLEX, 4, 5)
+    target = targets("cue_ep_run")[1]
+    assert target == Fraction(4, 7)
     z = z_score(row.mean, row.stderr, target)
     record(1, "cue ep n=1 vs 4/7", abs(z) <= 5.0,
            f"mean={row.mean:.7f} target={float(target):.7f} z={z:+.2f} gate=5")
 
 
 def test_criterion_02_cue_ep_plateau(cue_ep_run):
-    target = ep1(CaseTag.B_COE_COMPLEX, 4, 5)
-    assert target == Fraction(5496, 9660)
+    exact = targets("cue_ep_run")
+    assert all(exact[n] == Fraction(5496, 9660) for n in (20, 30, 40))
     zs = []
     for n in (20, 30, 40):
         row = cue_ep_run.row_for(n)
-        zs.append(z_score(row.mean, row.stderr, target))
+        zs.append(z_score(row.mean, row.stderr, exact[n]))
     r20, r40 = cue_ep_run.row_for(20), cue_ep_run.row_for(40)
     pooled = np.hypot(r20.stderr, r40.stderr)
     flat = abs(r20.mean - r40.mean) / pooled
@@ -86,7 +83,7 @@ def test_criterion_02_cue_ep_plateau(cue_ep_run):
 
 def test_criterion_03_coe_real_asymptote(asymptotic_real_run):
     row = asymptotic_real_run.row_for(-1)
-    target = ep_inf(CaseTag.C_COE_REAL, 4, 5)
+    target = targets("asymptotic_real_run")[-1]
     assert target == Fraction(162000, 288288)
     z = z_score(row.mean, row.stderr, target)
     record(3, "coe fixed-real asymptote vs 162000/288288", abs(z) <= 5.0,
@@ -95,7 +92,7 @@ def test_criterion_03_coe_real_asymptote(asymptotic_real_run):
 
 def test_criterion_04_coe_complex_asymptote(asymptotic_complex_run):
     row = asymptotic_complex_run.row_for(-1)
-    target = ep_inf(CaseTag.B_COE_COMPLEX, 4, 5)
+    target = targets("asymptotic_complex_run")[-1]
     assert target == Fraction(4896288, 8648640)
     z = z_score(row.mean, row.stderr, target)
     record(4, "coe random-complex asymptote vs 4896288/8648640", abs(z) <= 5.0,
@@ -104,7 +101,7 @@ def test_criterion_04_coe_complex_asymptote(asymptotic_complex_run):
 
 def test_criterion_05_cue_operator_entanglement(cue_opent_run):
     row = cue_opent_run.row_for(1)
-    target = op_ent_cue(4, 5)
+    target = targets("cue_opent_run")[1]
     assert target == Fraction(360, 399)
     z = z_score(row.mean, row.stderr, target)
     record(5, "cue operator entanglement n=1 vs 360/399", abs(z) <= 5.0,
@@ -112,14 +109,17 @@ def test_criterion_05_cue_operator_entanglement(cue_opent_run):
 
 
 def test_criterion_06_form_factor_suite(form_factor_run, fourth_moment_run):
+    exact2, exact4 = targets("form_factor_run"), targets("fourth_moment_run")
+    assert [exact2[n] for n in (1, 5, 19, 20, 40)] == [1, 5, 19, 20, 20]
+    assert [exact4[n] for n in (1, 10, 20)] == [2, 200, 780]
     zs2 = []
     for n in (1, 5, 19, 20, 40):
         row = form_factor_run.row_for(n)
-        zs2.append(z_score(row.mean, row.stderr, cue_form_factor(n, 20)))
+        zs2.append(z_score(row.mean, row.stderr, exact2[n]))
     zs4 = []
     for n in (1, 10, 20):
         row = fourth_moment_run.row_for(n)
-        zs4.append(z_score(row.mean, row.stderr, cue_fourth_moment(n, 20)))
+        zs4.append(z_score(row.mean, row.stderr, exact4[n]))
     ok = all(abs(z) <= 5.0 for z in zs2 + zs4)
     record(6, "cue |tr U^n|^2 and |tr U^n|^4 vs min-rules", ok,
            f"z2={['%+.2f' % z for z in zs2]} z4={['%+.2f' % z for z in zs4]} gate=5")
@@ -176,14 +176,12 @@ def test_criterion_08_exact_identities():
 def test_criterion_09_form_factor_model_fit(cue_ep_run):
     means, stderrs = curve_stats(cue_ep_run)
     ns = np.array([r.n for r in cue_ep_run.rows])
-    fit = fit_form_factor_model(EntropySeries(ns, means), 20)
-    pooled = float(np.sqrt(np.mean(stderrs**2)))
-    plateau = float(model_prediction(fit, np.array([40]), 20)[0])
-    plateau_dev = abs(plateau - float(ep_inf(CaseTag.A_CUE_COMPLEX, 4, 5))) / pooled
-    ok = fit.residual_rms < 3.0 * pooled and plateau_dev < 3.0
-    record(9, "cue ep curve follows min(n,d) form-factor model", ok,
-           f"residual_rms={fit.residual_rms:.2e} ({fit.residual_rms / pooled:.2f} pooled se, "
-           f"gate 3) plateau dev={plateau_dev:.2f} pooled se (gate 3)")
+    gate = gate_form_factor_fit(EntropySeries(ns, means), stderrs, 4, 5)
+    rms = gate.fit.residual_rms
+    record(9, "cue ep curve follows min(n,d) form-factor model",
+           gate.residual_ok and gate.plateau_ok,
+           f"residual_rms={rms:.2e} ({rms / gate.pooled_stderr:.2f} pooled se, "
+           f"gate 3) plateau dev={gate.plateau_deviation:.2f} pooled se (gate 3)")
 
 
 def test_criterion_10_monotone_decay(cue_ep_run, coe_ep_run, cue_opent_run, coe_opent_run):
@@ -212,3 +210,27 @@ def test_criterion_11_parallel_determinism():
         ok = ok and serial.encode() == parallel.encode()
     record(11, "parallelism 1 vs 8 gives byte-identical csv", ok,
            f"{len(configs)} configs compared byte for byte")
+
+
+def test_criterion_12_coe_ep_first_step(coe_ep_run):
+    row = coe_ep_run.row_for(1)
+    target = targets("coe_ep_run")[1]
+    assert target == Fraction(458, 805)
+    z = z_score(row.mean, row.stderr, target)
+    record(12, "coe ep n=1 vs 458/805", abs(z) <= 5.0,
+           f"mean={row.mean:.7f} target={float(target):.7f} z={z:+.2f} gate=5")
+
+
+def test_reference_runs_reach_every_exact_target_label():
+    # every closed form that verify can gate is gated by some criterion
+    possible = set()
+    for kind, ensemble in itertools.product(ExperimentKind, (EnsembleTag.CUE, EnsembleTag.COE)):
+        states = [StateMode.NONE]
+        if kind in (ExperimentKind.EP_CURVE, ExperimentKind.ASYMPTOTIC):
+            states = [StateMode.FIXED_PRODUCT, StateMode.RANDOM_COMPLEX_PRODUCT,
+                      StateMode.RANDOM_REAL_PRODUCT]
+        for state in states:
+            cfg = ExperimentConfig(kind, ensemble, state, 2, 3, 12, 2, 0)
+            possible |= {label for _, label, _ in exact_targets(cfg)}
+    reached = {label for cfg in FIXTURE_CONFIGS.values() for _, label, _ in exact_targets(cfg)}
+    assert reached == possible

@@ -1,13 +1,16 @@
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entpower import cli
+from entpower import cli, montecarlo
 from entpower.cli import main, table_from_json, table_to_csv, table_to_json
 from entpower.closedform import CaseTag, ep1, ep_inf, op_ent_cue
-from entpower.ensembles import EnsembleTag
+from entpower.ensembles import EnsembleTag, RandomStream, sample_unitaries
 from entpower.montecarlo import (
     ExperimentConfig,
     ExperimentKind,
@@ -190,6 +193,89 @@ def test_verify_and_fit_reject_output_flags(capsys, monkeypatch, tmp_path, argv,
     if config is not None:
         assert err.startswith("error: config key ") and "is not a flag of subcommand" in err
     assert not (tmp_path / "v.txt").exists()
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--kind", "asymptotic", "--nmax", "99"], None),
+    (["--kind", "opent-curve", "--state", "random-real", "--moment", "4"], None),
+    (["--kind", "form-factor", "--state", "fixed"], None),
+    (["--kind", "ep-curve", "--moment", "2"], None),
+    ([], {"kind": "asymptotic", "nmax": 99}),
+    (["--kind", "opent-curve"], {"state": "random-real"}),
+], ids=["asymptotic-nmax", "opent-state-moment", "form-factor-state", "ep-curve-moment",
+        "config-asymptotic-nmax", "config-opent-state"])
+def test_verify_rejects_options_its_kind_lacks(capsys, monkeypatch, tmp_path, argv, config):
+    # verify parses the options of every kind; a run takes only its own
+    monkeypatch.setattr(cli, "run_experiment", _no_sampling)
+    argv = ["verify"] + argv + ["--da", "2", "--db", "2"]
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: verify --kind ") and len(err.splitlines()) == 1
+
+
+def test_verify_form_factor_takes_moment(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--kind", "form-factor", "--moment", "4",
+                                    "--da", "2", "--db", "2", "--nmax", "2", "--samples", "400"])
+    assert code == 0
+    assert "fourth_moment" in out
+
+
+@pytest.mark.parametrize("samples,parallelism,bad", [(120, 1, 37), (1100, 2, 530)],
+                         ids=["serial", "threads"])
+def test_failed_decomposition_exits_four_naming_the_sample(capsys, monkeypatch, samples,
+                                                           parallelism, bad):
+    # sample `bad` fails wherever it sits in its block and chunk
+    failing_u = sample_unitaries(EnsembleTag.CUE, 6, [RandomStream(5, bad)])[0]
+    real = montecarlo.decompose_block
+
+    def decompose(u, dims, symmetric):
+        if any(np.array_equal(x, failing_u) for x in u):
+            raise np.linalg.LinAlgError("spectral reconstruction residual 1.0e-03 > 1e-10")
+        return real(u, dims, symmetric=symmetric)
+
+    monkeypatch.setattr(montecarlo, "decompose_block", decompose)
+    argv = EP_SMALL[:-3] + [str(samples), "--seed", "5", "--parallelism", str(parallelism)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"sample {bad} of master seed 5 " in err
+
+
+def test_dimensions_too_large_for_memory_exit_two(capsys, monkeypatch):
+    # numpy refuses such a draw at once; the patch makes that independent of
+    # the host's overcommit setting
+    def refuse(ensemble, d, streams):
+        raise MemoryError()
+
+    monkeypatch.setattr(montecarlo, "sample_unitaries", refuse)
+    code, out, err = run_cli(capsys, ["ep-curve", "--da", "1000", "--db", "1000",
+                                      "--samples", "2", "--nmax", "1"])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: d = 1000000 ") and len(err.splitlines()) == 1
+
+
+def test_readme_invocations_parse():
+    # the README's command lines document the CLI; each must still parse
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()
+             if line.strip().startswith("entpower ")]
+    assert len(lines) >= 10
+    parser, _ = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_config_float_flag_takes_a_json_integer(capsys, tmp_path):

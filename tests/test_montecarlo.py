@@ -14,7 +14,7 @@ import pytest
 import entpower
 from entpower import dynamics, montecarlo
 from entpower.dynamics import form_factor_series
-from entpower.ensembles import EnsembleTag, FieldTag, RandomStream, sample_cue, sample_unitaries
+from entpower.ensembles import EnsembleTag, RandomStream, sample_cue, sample_unitaries
 from entpower.montecarlo import (
     ConfigError,
     ExperimentConfig,
@@ -245,8 +245,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(master_seed=2**64)
     with pytest.raises(ConfigError):
-        small_config(fixed_state_seed=2**64)
-    with pytest.raises(ConfigError):
         run_experiment(small_config(), parallelism=0)
 
 
@@ -299,10 +297,9 @@ def test_asymptotic_resonant_sample_needs_no_time_average(monkeypatch):
 
 
 def test_fixed_state_choice_is_statistically_redundant():
-    # CUE: any fixed product state gives the same curve in distribution
+    # CUE: the fixed product state gives the curve of random complex ones
     base = small_config(samples=4_000, n_max=6)
-    other = small_config(samples=4_000, n_max=6, fixed_state_seed=123,
-                         fixed_state_field=FieldTag.COMPLEX)
+    other = small_config(samples=4_000, n_max=6, state_mode=StateMode.RANDOM_COMPLEX_PRODUCT)
     ta, tb = run_experiment(base), run_experiment(other)
     for ra, rb in zip(ta.rows, tb.rows):
         pooled = np.hypot(ra.stderr, rb.stderr)
@@ -310,9 +307,10 @@ def test_fixed_state_choice_is_statistically_redundant():
 
 
 def test_fixed_real_state_redundant_under_coe():
+    # COE: the fixed real product state gives the curve of random real ones
     base = small_config(ensemble=EnsembleTag.COE, samples=4_000, n_max=6)
     other = small_config(ensemble=EnsembleTag.COE, samples=4_000, n_max=6,
-                         fixed_state_seed=321, fixed_state_field=FieldTag.REAL)
+                         state_mode=StateMode.RANDOM_REAL_PRODUCT)
     ta, tb = run_experiment(base), run_experiment(other)
     for ra, rb in zip(ta.rows, tb.rows):
         pooled = np.hypot(ra.stderr, rb.stderr)
@@ -327,8 +325,6 @@ def test_case_tag_resolution():
                         state_mode=StateMode.RANDOM_COMPLEX_PRODUCT).case_tag().value == "b"
     assert small_config(ensemble=EnsembleTag.COE,
                         state_mode=StateMode.RANDOM_REAL_PRODUCT).case_tag().value == "c"
-    assert small_config(ensemble=EnsembleTag.COE, fixed_state_seed=5,
-                        fixed_state_field=FieldTag.COMPLEX).case_tag() is None
 
 
 def test_z_score():
