@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -274,6 +275,13 @@ def _cmd_experiment(inv: CliInvocation, opts: dict) -> int:
     try:
         table = run_experiment(cfg, parallelism=parallelism)
         emit_results(table, opts.get("format", "csv"), stream)
+    except BaseException:
+        # a failed run leaves no file behind either; a device or pipe given
+        # as --out is not the run's to delete
+        if stream is not sys.stdout and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+            stream.close()
+            os.remove(out)
+        raise
     finally:
         if stream is not sys.stdout:
             stream.close()

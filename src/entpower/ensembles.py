@@ -8,7 +8,20 @@ convention of ``numpy.kron``: component (a, b) sits at a * d_b + b.
 
 Randomness is counter based.  Every Monte Carlo sample owns a
 :class:`RandomStream` keyed by (master_seed, stream_index), so results
-do not depend on how samples are distributed over worker threads.
+do not depend on how samples are distributed over worker threads.  A
+sample's stream is a sequence of standard normals laid out as
+
+    [ Ginibre real part (d*d) | Ginibre imaginary part (d*d) | A factor | B factor ]
+
+where the factors of a random product state take d_a and d_b normals
+for real states, 2 d_a and 2 d_b (real parts, then imaginary parts)
+for complex ones, and other samples draw no state.  The single-draw
+functions (:func:`sample_unitaries`, :func:`random_state`,
+:func:`random_product_states`) draw these pieces from a
+:class:`RandomStream` in that order; :func:`sample_block` draws a
+sample's whole row in one call through a re-keyed
+:class:`PhiloxStreams`.  Both routes assemble the normals with the same
+functions, so they give bit-identical unitaries and states.
 """
 
 from __future__ import annotations
@@ -25,7 +38,9 @@ __all__ = [
     "UnitaryMatrix",
     "PureState",
     "RandomStream",
+    "PhiloxStreams",
     "sample_unitaries",
+    "sample_block",
     "sample_cue",
     "sample_coe",
     "random_state",
@@ -133,8 +148,12 @@ class RandomStream:
     The key is the Philox counter key, not a seed sequence: streams for
     different indices under the same master seed never collide, and the
     sample drawn from stream i is independent of whether streams j != i
-    were ever instantiated.  Draws within one stream are sequential, so
-    e.g. a unitary followed by a state consume disjoint counter ranges.
+    were ever instantiated.  Draws within one stream are sequential: a
+    sample's unitary takes the Ginibre real part, then the imaginary
+    part, and its random product state (if any) the A factor, then the
+    B factor (see the module docstring for the layout).  This is the
+    single-draw API; :class:`PhiloxStreams` draws the same normals for
+    whole blocks of samples.
     """
 
     master_seed: int
@@ -152,6 +171,37 @@ class RandomStream:
         return self._generator
 
 
+class PhiloxStreams:
+    """The streams of one master seed, drawn through one re-keyed Philox bit generator.
+
+    Building a Philox bit generator costs several times what setting a
+    built one's key does (building also seeds an OS-entropy SeedSequence
+    that a keyed generator never reads).  Each stream sets the key to
+    (master_seed, i) with the counter zeroed and the buffer emptied,
+    the state ``RandomStream(master_seed, i).generator()`` starts from.
+    Not thread safe: every chunk of a run makes its own.
+    """
+
+    def __init__(self, master_seed: int):
+        if master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
+        self._bit_generator = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
+        self._generator = np.random.Generator(self._bit_generator)
+        # a freshly keyed state (counter 0, buffer empty); setting it copies
+        # the arrays in, so re-keying only rewrites the key's second word
+        self._fresh = self._bit_generator.state
+        self._key = self._fresh["state"]["key"]
+
+    def normals(self, first: int, count: int, width: int) -> np.ndarray:
+        """Shape (count, width): row k holds the first `width` normals of stream first + k."""
+        rows = np.empty((count, width))
+        for k, row in enumerate(rows):
+            self._key[1] = first + k
+            self._bit_generator.state = self._fresh
+            self._generator.standard_normal(out=row)
+        return rows
+
+
 def _checked_dims(d: int, dims: BipartiteDims | None) -> BipartiteDims:
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -162,13 +212,8 @@ def _checked_dims(d: int, dims: BipartiteDims | None) -> BipartiteDims:
     return dims
 
 
-def _ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return z / np.sqrt(2.0)
-
-
-def sample_unitaries(ensemble: EnsembleTag, d: int, streams: list[RandomStream]) -> np.ndarray:
-    """One CUE or COE draw per stream, stacked as shape (k, d, d).
+def _unitaries(ensemble: EnsembleTag, normals: np.ndarray) -> np.ndarray:
+    """CUE or COE draws from Ginibre normals (k, 2, d, d), real then imaginary part, as (k, d, d).
 
     CUE: QR of complex Ginibre matrices, with the phases of each R
     diagonal pushed into Q (Mezzadri, Notices AMS 54, 592 (2007)).
@@ -176,14 +221,13 @@ def sample_unitaries(ensemble: EnsembleTag, d: int, streams: list[RandomStream])
     depends on the sign/phase convention of the QR routine).  COE:
     U = W W^T with W Haar, symmetrized as (P + P^T) / 2 so the entries
     are bitwise symmetric, which floating point matrix multiply does
-    not guarantee on its own.  Each stream draws its own Ginibre
-    matrix; one QR runs over the stack, and stacked LAPACK and BLAS
-    calls treat every matrix alone, so a draw does not depend on the
-    other streams of the stack.
+    not guarantee on its own.  One QR runs over the stack, and stacked
+    LAPACK and BLAS calls treat every matrix alone, so a draw does not
+    depend on the other matrices of the stack.
     """
     if ensemble not in (EnsembleTag.CUE, EnsembleTag.COE):
         raise ValueError(f"ensemble must be CUE or COE, got {ensemble}")
-    z = np.stack([_ginibre(d, s.generator()) for s in streams])
+    z = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     w = q * (diag / np.abs(diag))[:, None, :]
@@ -191,6 +235,42 @@ def sample_unitaries(ensemble: EnsembleTag, d: int, streams: list[RandomStream])
         return w
     p = w @ w.swapaxes(-1, -2)
     return (p + p.swapaxes(-1, -2)) / 2.0
+
+
+def _state_width(d: int, field_tag: FieldTag) -> int:
+    """Normals a random state on C^d or R^d takes from its stream."""
+    return 2 * d if field_tag is FieldTag.COMPLEX else d
+
+
+def _unit_vectors(field_tag: FieldTag, normals: np.ndarray) -> np.ndarray:
+    """Normalized Gaussian vectors from normals (k, width), complex128.
+
+    COMPLEX takes the first half of each row as real parts and the
+    second half as imaginary parts.
+    """
+    if field_tag is FieldTag.COMPLEX:
+        d = normals.shape[-1] // 2
+        v = normals[:, :d] + 1j * normals[:, d:]
+    else:
+        v = normals.astype(np.complex128)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _product_states(dims: BipartiteDims, field_tag: FieldTag, normals: np.ndarray) -> np.ndarray:
+    """psi_A (x) psi_B from normals (k, width_A + width_B), A factor first, as (k, d)."""
+    width_a = _state_width(dims.d_a, field_tag)
+    a = _unit_vectors(field_tag, normals[:, :width_a])
+    b = _unit_vectors(field_tag, normals[:, width_a:])
+    return (a[:, :, None] * b[:, None, :]).reshape(len(normals), dims.d)
+
+
+def sample_unitaries(ensemble: EnsembleTag, d: int, streams: list[RandomStream]) -> np.ndarray:
+    """One CUE or COE draw per stream, stacked as shape (k, d, d).
+
+    Each stream draws its own Ginibre matrix, real part then imaginary
+    part; see :func:`_unitaries` for the construction.
+    """
+    return _unitaries(ensemble, np.stack([s.generator().standard_normal((2, d, d)) for s in streams]))
 
 
 def sample_cue(d: int, stream: RandomStream, dims: BipartiteDims | None = None) -> UnitaryMatrix:
@@ -205,16 +285,6 @@ def sample_coe(d: int, stream: RandomStream, dims: BipartiteDims | None = None) 
     return UnitaryMatrix(dims, sample_unitaries(EnsembleTag.COE, d, [stream])[0], EnsembleTag.COE)
 
 
-def _unit_vectors(d: int, field_tag: FieldTag, streams: list[RandomStream]) -> np.ndarray:
-    """One normalized Gaussian vector per stream, shape (k, d), complex128."""
-    gens = [s.generator() for s in streams]
-    if field_tag is FieldTag.COMPLEX:
-        v = np.stack([g.standard_normal(d) + 1j * g.standard_normal(d) for g in gens])
-    else:
-        v = np.stack([g.standard_normal(d) for g in gens]).astype(np.complex128)
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
 def random_state(d: int, field_tag: FieldTag, stream: RandomStream,
                  dims: BipartiteDims | None = None) -> PureState:
     """Draw a uniformly random pure state (normalized Gaussian vector).
@@ -223,7 +293,8 @@ def random_state(d: int, field_tag: FieldTag, stream: RandomStream,
     the orthogonally invariant measure on the real sphere.
     """
     dims = _checked_dims(d, dims)
-    return PureState(dims, _unit_vectors(d, field_tag, [stream])[0], field_tag)
+    normals = stream.generator().standard_normal((1, _state_width(d, field_tag)))
+    return PureState(dims, _unit_vectors(field_tag, normals)[0], field_tag)
 
 
 def random_product_states(dims: BipartiteDims, field_tag: FieldTag,
@@ -234,9 +305,29 @@ def random_product_states(dims: BipartiteDims, field_tag: FieldTag,
     ``product_state(random_state(d_a, ...), random_state(d_b, ...))``
     does, and gives the same amplitudes.
     """
-    a = _unit_vectors(dims.d_a, field_tag, streams)
-    b = _unit_vectors(dims.d_b, field_tag, streams)
-    return (a[:, :, None] * b[:, None, :]).reshape(len(streams), dims.d)
+    width = _state_width(dims.d_a, field_tag) + _state_width(dims.d_b, field_tag)
+    return _product_states(dims, field_tag,
+                           np.stack([s.generator().standard_normal(width) for s in streams]))
+
+
+def sample_block(ensemble: EnsembleTag, dims: BipartiteDims, field_tag: FieldTag | None,
+                 streams: PhiloxStreams, first: int, count: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Unitaries (count, d, d) and random product states (count, d) of samples first, first+1, ...
+
+    Bit for bit what ``sample_unitaries`` and then
+    ``random_product_states`` give on ``RandomStream(master_seed, i)``,
+    from one standard_normal call per sample and one assembly per
+    block.  field_tag None draws no states and returns None for them.
+    """
+    d = dims.d
+    width = 2 * d * d
+    if field_tag is not None:
+        width += _state_width(dims.d_a, field_tag) + _state_width(dims.d_b, field_tag)
+    rows = streams.normals(first, count, width)
+    u = _unitaries(ensemble, rows[:, :2 * d * d].reshape(count, 2, d, d))
+    if field_tag is None:
+        return u, None
+    return u, _product_states(dims, field_tag, rows[:, 2 * d * d:])
 
 
 def product_state(psi_a: PureState, psi_b: PureState) -> PureState:

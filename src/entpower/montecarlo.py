@@ -40,11 +40,9 @@ from .ensembles import (
     BipartiteDims,
     EnsembleTag,
     FieldTag,
-    PureState,
-    RandomStream,
+    PhiloxStreams,
     basis_product_state,
-    random_product_states,
-    sample_unitaries,
+    sample_block,
 )
 
 __all__ = [
@@ -216,15 +214,11 @@ class ResultTable:
         raise KeyError(f"no row for n = {n}")
 
 
-def _block_states(cfg: ExperimentConfig, fixed: PureState | None,
-                  streams: list[RandomStream]) -> np.ndarray | None:
-    """Initial-state amplitudes (k, d) for a block, drawn after its unitaries."""
-    if cfg.state_mode is StateMode.NONE:
-        return None
-    if cfg.state_mode is StateMode.FIXED_PRODUCT:
-        return np.broadcast_to(fixed.amplitudes, (len(streams), cfg.dims.d))
-    f = FieldTag.COMPLEX if cfg.state_mode is StateMode.RANDOM_COMPLEX_PRODUCT else FieldTag.REAL
-    return random_product_states(cfg.dims, f, streams)
+# the field of the random product states a state mode draws; the others draw none
+_STATE_FIELDS = {
+    StateMode.RANDOM_COMPLEX_PRODUCT: FieldTag.COMPLEX,
+    StateMode.RANDOM_REAL_PRODUCT: FieldTag.REAL,
+}
 
 
 @dataclass
@@ -236,6 +230,12 @@ class _Tally:
     max_residual: float = 0.0
     min_phase_gap: float = np.inf
     seconds: dict = field(default_factory=lambda: dict.fromkeys(_STAGES, 0.0))
+
+    def lap(self, stage: str, since: float) -> float:
+        """Charge the seconds from `since` to now to `stage`; returns now."""
+        now = time.perf_counter()
+        self.seconds[stage] += now - since
+        return now
 
     def add(self, other: _Tally) -> None:
         self.resonant += other.resonant
@@ -282,39 +282,44 @@ def _chunk_stats(cfg: ExperimentConfig, start: int, count: int):
 
     Returns (count, means, m2s, tally) with one mean and m2 per result
     row.  Samples go through in blocks of BLOCK_SIZE, aligned to the
-    chunk start: the block's unitaries are drawn and decomposed as one
-    stack, observed together, then folded into the Welford
-    accumulators one sample at a time.  Draw order within a sample's
-    stream is fixed: the unitary first, then (for random state modes)
-    the A and B factors.  Stacked draws and decompositions treat each
-    sample alone, so rows do not depend on the block size.
+    chunk start: the block's unitaries and states are drawn through the
+    chunk's one re-keyed Philox (the unitary first, then the A and B
+    factors of a random state, as on each sample's RandomStream), then
+    decomposed as one stack, observed together and folded into the
+    Welford accumulators one sample at a time.  Stacked draws and
+    decompositions treat each sample alone, so rows do not depend on
+    the block size.  The stage clocks run back to back from entry to
+    return, so their sum is the chunk's time (0 for an empty chunk).
     """
+    tally = _Tally()
+    t = time.perf_counter()
     n_rows = 1 if cfg.kind is ExperimentKind.ASYMPTOTIC else cfg.n_max
     mean = np.zeros(n_rows)
     m2 = np.zeros(n_rows)
-    fixed = basis_product_state(cfg.dims) if cfg.state_mode is StateMode.FIXED_PRODUCT else None
-    tally = _Tally()
+    streams = PhiloxStreams(cfg.master_seed)
+    field_tag = _STATE_FIELDS.get(cfg.state_mode)
+    fixed = None
+    if cfg.state_mode is StateMode.FIXED_PRODUCT:
+        fixed = np.broadcast_to(basis_product_state(cfg.dims).amplitudes, (BLOCK_SIZE, cfg.dims.d))
+    # the set-up above counts as sampling, in the first block's lap
     for offset in range(0, count, BLOCK_SIZE):
-        t0 = time.perf_counter()
-        streams = [RandomStream(cfg.master_seed, start + k)
-                   for k in range(offset, min(offset + BLOCK_SIZE, count))]
-        u = sample_unitaries(cfg.ensemble, cfg.dims.d, streams)
-        psi = _block_states(cfg, fixed, streams)
-        t1 = time.perf_counter()
+        size = min(BLOCK_SIZE, count - offset)
+        u, psi = sample_block(cfg.ensemble, cfg.dims, field_tag, streams, start + offset, size)
+        if fixed is not None:
+            psi = fixed[:size]
+        t = tally.lap("sample", t)
         block = _decompose(cfg, u, start + offset)
-        t2 = time.perf_counter()
+        t = tally.lap("decompose", t)
         values = _observe(cfg, block, psi, tally)
-        t3 = time.perf_counter()
+        t = tally.lap("observe", t)
         for k, x in enumerate(values, start=offset):
             delta = x - mean
             mean += delta / (k + 1)
             m2 += delta * (x - mean)
-        t4 = time.perf_counter()
         tally.redos += block.redos
         tally.max_residual = max(tally.max_residual, float(block.residuals.max()))
         tally.min_phase_gap = min(tally.min_phase_gap, float(_min_circular_gap(block.phases).min()))
-        for stage, s in zip(_STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
-            tally.seconds[stage] += s
+        t = tally.lap("accumulate", t)
     return count, mean, m2, tally
 
 

@@ -248,19 +248,38 @@ def test_failed_decomposition_exits_four_naming_the_sample(capsys, monkeypatch, 
     assert f"sample {bad} of master seed 5 " in err
 
 
+def _refuse_memory(*args):
+    raise MemoryError()
+
+
 def test_dimensions_too_large_for_memory_exit_two(capsys, monkeypatch):
     # numpy refuses such a draw at once; the patch makes that independent of
     # the host's overcommit setting
-    def refuse(ensemble, d, streams):
-        raise MemoryError()
-
-    monkeypatch.setattr(montecarlo, "sample_unitaries", refuse)
+    monkeypatch.setattr(montecarlo, "sample_block", _refuse_memory)
     code, out, err = run_cli(capsys, ["ep-curve", "--da", "1000", "--db", "1000",
                                       "--samples", "2", "--nmax", "1"])
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: d = 1000000 ") and len(err.splitlines()) == 1
+
+
+def _fail_decomposition(u, dims, symmetric):
+    raise np.linalg.LinAlgError("spectral reconstruction residual 1.0e-03 > 1e-10")
+
+
+@pytest.mark.parametrize("seam,failure,code", [
+    ("sample_block", _refuse_memory, 2),
+    ("decompose_block", _fail_decomposition, 4),
+], ids=["memory", "decomposition"])
+def test_failed_run_leaves_no_out_file(capsys, monkeypatch, tmp_path, seam, failure, code):
+    monkeypatch.setattr(montecarlo, seam, failure)
+    out = tmp_path / "m.csv"
+    got, stdout, err = run_cli(capsys, EP_SMALL + ["--out", str(out)])
+    assert got == code
+    assert stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_readme_invocations_parse():

@@ -245,6 +245,21 @@ def test_asymptotic_exact_for_identity_and_swap(entries):
     assert abs(asymptotic_entropy_spectral(u, psi) - time_average_entropy(u, psi, 1_000)) < 1e-12
 
 
+@pytest.mark.parametrize("ns", [range(1, 41), range(20_001, 20_101)], ids=["curve", "time-average-chunk"])
+def test_phase_powers_match_exp(ns):
+    # n = 1..2d of a 4x5 curve, and 100 steps of a chunk as time_average_entropy
+    # takes them.  Phases of at most 38 significant bits make n phi exact for
+    # n < 2^15, so that np.exp(1j n phi) is accurate to roundoff at every n here
+    top = int(2 * np.pi * 2**35)
+    m = RandomStream(59, 0).generator().integers(0, top, size=(3, 20))
+    m[0, :2] = 0, top - 1
+    phases = m / 2.0**35
+    powers = dynamics._phase_powers(phases, ns)
+    assert powers.shape == (3, 20, len(ns))
+    exact = np.exp(1j * (phases[..., None] * np.arange(ns.start, ns.stop)))
+    assert np.max(np.abs(powers - exact)) < 1e-13
+
+
 def test_form_factor_identity():
     u = UnitaryMatrix(DIMS45, np.eye(20), EnsembleTag.FIXED)
     assert abs(form_factor_series(u, 3)[2] - 400.0) < 1e-9

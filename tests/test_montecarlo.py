@@ -14,7 +14,7 @@ import pytest
 import entpower
 from entpower import dynamics, montecarlo
 from entpower.dynamics import form_factor_series
-from entpower.ensembles import EnsembleTag, RandomStream, sample_cue, sample_unitaries
+from entpower.ensembles import EnsembleTag, FieldTag, RandomStream, sample_cue, sample_unitaries
 from entpower.montecarlo import (
     ConfigError,
     ExperimentConfig,
@@ -127,6 +127,61 @@ def test_rows_independent_of_block_size(monkeypatch, kind, ensemble, state):
     blocked = run_experiment(cfg).rows
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1)
     assert run_experiment(cfg).rows == blocked
+
+
+def _stream_sample(seed, index, d_a, d_b, ensemble, field_tag):
+    """Sample `index`'s unitary and random product state, straight from its RandomStream."""
+    rng = RandomStream(seed, index).generator()
+    d = d_a * d_b
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    if ensemble is EnsembleTag.COE:
+        p = u @ u.T
+        u = (p + p.T) / 2.0
+    if field_tag is None:
+        return u, None
+    factors = []
+    for dim in (d_a, d_b):
+        v = rng.standard_normal(dim).astype(np.complex128)
+        if field_tag is FieldTag.COMPLEX:
+            v = v + 1j * rng.standard_normal(dim)
+        factors.append(v / np.linalg.norm(v, axis=-1, keepdims=True))
+    return u, np.kron(*factors)
+
+
+@pytest.mark.parametrize("state,field_tag", [
+    (StateMode.FIXED_PRODUCT, None),
+    (StateMode.RANDOM_REAL_PRODUCT, FieldTag.REAL),
+    (StateMode.RANDOM_COMPLEX_PRODUCT, FieldTag.COMPLEX),
+], ids=["fixed", "random-real", "random-complex"])
+@pytest.mark.parametrize("ensemble", [EnsembleTag.CUE, EnsembleTag.COE], ids=["cue", "coe"])
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_block_draws_equal_stream_draws_bitwise(monkeypatch, ensemble, state, field_tag,
+                                                parallelism):
+    # chunks of 37 start off the 16-sample block grid: 100 samples make
+    # blocks at 0, 16, 32 | 37, 53, 69 | 74, 90
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 37)
+    real = montecarlo.sample_block
+    drawn = {}
+
+    def recorded(ensemble, dims, field_tag, streams, first, count):
+        u, psi = real(ensemble, dims, field_tag, streams, first, count)
+        for k in range(count):
+            drawn[first + k] = (u[k], None if psi is None else psi[k])
+        return u, psi
+
+    monkeypatch.setattr(montecarlo, "sample_block", recorded)
+    cfg = small_config(ensemble=ensemble, state_mode=state, d_a=2, d_b=3, n_max=2, samples=100)
+    run_experiment(cfg, parallelism=parallelism)
+    assert sorted(drawn) == list(range(cfg.samples))
+    for i, (u, psi) in drawn.items():
+        u_ref, psi_ref = _stream_sample(cfg.master_seed, i, 2, 3, ensemble, field_tag)
+        assert np.array_equal(u, u_ref), i
+        if field_tag is None:
+            assert psi is None
+        else:
+            assert np.array_equal(psi, psi_ref), i
 
 
 def test_metadata_stage_timings_cover_wall_time():
