@@ -16,6 +16,7 @@ failed (the error line names the master seed and sample index).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -74,8 +75,13 @@ class CliInvocation:
     actions: dict
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The entpower parser and its subcommand parsers by name."""
+    """The entpower parser and its subcommand parsers by name, built once per process.
+
+    Every call returns the same parsers: parsing leaves them unchanged,
+    and callers must not add to them.
+    """
     parser = argparse.ArgumentParser(
         prog="entpower",
         description="Monte Carlo curves and closed-form checks for the "

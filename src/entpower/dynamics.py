@@ -20,9 +20,12 @@ per-unitary functions are the block functions called on a stack of
 one.
 
 One synthesis serves states and operators: a trajectory is
-sum_k basis_k c_k e^{i n phi_k}.  States take the eigenvectors z_k with
-c_k = <z_k|psi>; operators take the Choi vectors of the eigenprojectors
-|z_k><z_k| with c_k = 1/sqrt(d), which gives vec(U^n) / sqrt(d).
+sum_k basis_k c_k e^{i n phi_k}, with every e^{i n phi_k} from
+:func:`_phase_powers`.  States take the eigenvectors z_k with
+c_k = <z_k|psi> and keep one column per n, stacked over the block.
+Operators take the Choi vectors of the eigenprojectors |z_k><z_k| with
+c_k = 1/sqrt(d), which gives vec(U^n) / sqrt(d), and synthesize them
+n-major, one row per n, so that their purities take BLAS.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .ensembles import BipartiteDims, EnsembleTag, PureState, UnitaryMatrix
-from .entanglement import _b_major, _reshuffled, purity_batch, reduced_density_batch
+from .entanglement import _b_major, purity_batch, reduced_density_batch
 
 __all__ = [
     "SpectralDecomposition",
@@ -258,24 +261,26 @@ def operator_curves(block: SpectralBlock, n_max: int) -> np.ndarray:
     """Operator entanglement of U^n for n = 1..n_max, shape (k, n_max).
 
     Synthesizes the Choi vectors vec(U^n) / sqrt(d) of every power
-    from the reshuffled eigenprojectors, the same route the entropy
+    from the reshuffled eigenprojectors, the synthesis the entropy
     curves take for states; their linear entropies across
-    (A_out A_in | B_out B_in) are the operator entanglements.  Memory
-    is O(d^3 + d^2 n_max) for one unitary, d projector columns and
-    n_max Choi columns of length d^2: the unitaries of a block are
-    taken one at a time.
+    (A_out A_in | B_out B_in) are the operator entanglements.  The
+    Choi vectors come out n-major, as the rows of one
+    (n_max, d) x (d, d^2) product of the weights e^{i n phi_j} / sqrt(d)
+    with the rows vec R(|z_j><z_j|), so that every reduced density of
+    the purity is a contiguous block.  Memory stays
+    O(d^3 + d^2 n_max) per unitary, d projector rows and n_max Choi
+    rows of length d^2: the unitaries of a block are taken one at a
+    time.
     """
     d_a, d_b, d = block.dims.d_a, block.dims.d_b, block.dims.d
     ns = range(1, n_max + 1)
-    coeffs = np.full(d, d ** -0.5)
     curves = np.empty((len(block.phases), n_max))
     for i, (phases, z) in enumerate(zip(block.phases, block.vectors)):
-        # stacked over (a1 a2): one (d^2, d) x (d, n_max) product is large
-        # enough at d = 20 for OpenBLAS to wake its threads, which then spin
-        # between calls and double the CPU time for no wall-time gain
-        basis = _reshuffled(_projectors(z), d_a, d_b).reshape(d_a * d_a, d_b * d_b, d)
-        choi = _synthesize(basis, phases, coeffs, ns).reshape(d * d, n_max)
-        curves[i] = 1.0 - purity_batch(choi, d_a * d_a, d_b * d_b)
+        # row j is z_j[a1 b1] conj(z_j[a2 b2]) at (a1 a2 | b1 b2)
+        rows = z.T.reshape(d, d_a, 1, d_b, 1) * z.T.conj().reshape(d, 1, d_a, 1, d_b)
+        weights = _phase_powers(phases, ns).T * d ** -0.5
+        choi = weights @ rows.reshape(d, d * d)
+        curves[i] = 1.0 - purity_batch(choi.T, d_a * d_a, d_b * d_b)
     return curves
 
 

@@ -60,8 +60,18 @@ def reduced_density_batch(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 
 
 def purity_batch(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """tr rho_A^2 for a batch of column states, shape (..., d, n) -> (..., n)."""
-    return np.sum(np.abs(reduced_density_batch(states, d_a, d_b)) ** 2, axis=(-2, -1))
+    """tr rho_A^2 for a batch of column states, shape (..., d, n) -> (..., n).
+
+    Any layout is accepted.  When the columns are contiguous in memory
+    (states is the transpose of an n-major (..., n, d) array), each M
+    is a plain (d_a, d_b) block and the product M M^dag takes BLAS;
+    otherwise numpy multiplies the strided blocks in its own loop.
+    The squared moduli are summed as one real dot product per state
+    over the float64 view of rho_A.
+    """
+    rho = reduced_density_batch(states, d_a, d_b)
+    flat = rho.view(np.float64).reshape(*rho.shape[:-2], -1)
+    return (flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
 
 
 def _b_major(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

@@ -14,8 +14,11 @@ change the rows either.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import platform
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -72,6 +75,10 @@ _ASYMPTOTIC_N = -1
 # BLAS thread settings worth echoing; they decide whether worker threads
 # and BLAS threads compete for the same cores
 _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# thread-count entry points of the OpenBLAS builds numpy and scipy ship,
+# with {} standing for get or set
+_OPENBLAS_THREAD_CALLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                          "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 
 class ConfigError(ValueError):
@@ -338,6 +345,80 @@ def _merge_chunks(parts):
     return count, mean, m2, tally
 
 
+@functools.cache
+def _openblas() -> tuple:
+    """(file name, get, set) of the thread count of every OpenBLAS library loaded, found once.
+
+    The libraries are the ones mapped into the process, which includes
+    those numpy and scipy load at import; () where none is found or the
+    process map cannot be read.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line and line.split()[-1].startswith("/")})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for call in _OPENBLAS_THREAD_CALLS:
+            get = getattr(lib, call.format("get"), None)
+            set_ = getattr(lib, call.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((os.path.basename(path), get, set_))
+                break
+    return tuple(found)
+
+
+def _blas_threads() -> dict[str, int]:
+    """The thread count of every OpenBLAS library found, by file name."""
+    return {name: get() for name, get, _ in _openblas()}
+
+
+class _BlasPin:
+    """OpenBLAS pinned to one thread while any run is inside, the counts before restored after.
+
+    Worker threads supply a run's parallelism; OpenBLAS threads on top
+    of them spin between the many small calls and compete for the same
+    cores.  The count is one per library and process, so concurrent runs
+    share the pin: the first one in saves the counts and pins, the last
+    one out restores them.  Entering gives each library's count before
+    the pin and the count in use, as {name: {"before": n, "run": 1}};
+    with no OpenBLAS found the pin does nothing and gives {}.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: dict[str, int] = {}
+
+    def __enter__(self) -> dict[str, dict[str, int]]:
+        with self._lock:
+            if self._depth == 0:
+                self._saved = _blas_threads()
+                for _, _, set_threads in _openblas():
+                    set_threads(1)
+            self._depth += 1
+            return {name: {"before": self._saved[name], "run": n}
+                    for name, n in _blas_threads().items()}
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for name, _, set_threads in _openblas():
+                    set_threads(self._saved[name])
+
+
+_BLAS_PIN = _BlasPin()
+
+
 def check_parallelism(parallelism: int) -> int:
     """parallelism itself if it is a positive thread count; ConfigError otherwise."""
     if parallelism < 1:
@@ -358,27 +439,31 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
     threads, so that with parallelism > 1 they can add up to more than
     "wall_seconds".  "env" records the Python, numpy and scipy
     versions, the CPU count, the parallelism and any BLAS thread
-    variables set.
+    variables set, and "blas_threads" each OpenBLAS library's thread
+    count before the run and during it ({} where none is found).
 
     Chunks run on a pool of `parallelism` threads: a block's work is
-    large numpy/LAPACK calls that release the GIL.  If a chunk raises
-    (or the caller is interrupted), chunks not yet started are
-    cancelled and the exception reaches the caller once the running
+    large numpy/LAPACK calls that release the GIL.  OpenBLAS runs on one
+    thread for the whole run, and its counts are restored when the last
+    concurrent run returns or raises (see :class:`_BlasPin`).  If a
+    chunk raises (or the caller is interrupted), chunks not yet started
+    are cancelled and the exception reaches the caller once the running
     ones finish.  A failed decomposition raises NumericalError, which
     names the master seed and the sample index.
     """
     check_parallelism(parallelism)
     t0 = time.perf_counter()
     spans = [(s, min(CHUNK_SIZE, cfg.samples - s)) for s in range(0, cfg.samples, CHUNK_SIZE)]
-    if parallelism == 1 or len(spans) == 1:
-        parts = [_chunk_stats(cfg, s, c) for s, c in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            try:
-                parts = list(pool.map(lambda span: _chunk_stats(cfg, *span), spans))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+    with _BLAS_PIN as blas_threads:
+        if parallelism == 1 or len(spans) == 1:
+            parts = [_chunk_stats(cfg, s, c) for s, c in spans]
+        else:
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                try:
+                    parts = list(pool.map(lambda span: _chunk_stats(cfg, *span), spans))
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
     count, mean, m2, tally = _merge_chunks(parts)
     variance = m2 / (count - 1)
     stderr = np.sqrt(variance / count)
@@ -407,6 +492,7 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
             "cpu_count": os.cpu_count(),
             "parallelism": parallelism,
             "thread_env": {k: os.environ[k] for k in _THREAD_ENV if k in os.environ},
+            "blas_threads": blas_threads,
         },
     }
     return ResultTable(rows, metadata)

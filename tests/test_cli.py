@@ -68,6 +68,18 @@ def test_ep_curve_csv_contract(capsys):
     assert float(mean) > 0 and float(stderr) > 0
 
 
+def test_repeated_in_process_calls_share_one_parser(capsys):
+    # the parser is built once per process; reusing it must change no output
+    first = run_cli(capsys, EP_SMALL)
+    second = run_cli(capsys, EP_SMALL)
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    assert cli.build_parser() is cli.build_parser()
+    code, out, err = run_cli(capsys, ["ep-curve", "--da", "2", "--db", "x"])
+    assert code == 2 and out == "" and "--db" in err
+    assert run_cli(capsys, EP_SMALL)[1] == first[1]
+
+
 def test_csv_floats_roundtrip(capsys):
     cfg = ExperimentConfig(ExperimentKind.EP_CURVE, EnsembleTag.CUE, StateMode.FIXED_PRODUCT,
                            2, 3, 4, 120, 5)

@@ -147,13 +147,17 @@ def test_entropy_series_bounded(seed):
 
 
 def test_operator_entanglement_series_matches_direct_powers():
-    # the oracle shares neither the synthesis nor the reduced-density kernel
-    for dims in (BipartiteDims(2, 3), BipartiteDims(3, 4)):
+    # the oracle shares neither the synthesis nor the reduced-density kernel;
+    # unequal and trivial factors catch a swapped index in the Choi rows
+    for d_a, d_b in ((2, 3), (3, 4), (3, 2), (1, 4), (4, 1)):
+        dims = BipartiteDims(d_a, d_b)
         u = cue(19, dims=dims)
-        series = operator_entanglement_series(u, 8)
-        for n in range(1, 9):
-            un = UnitaryMatrix(dims, np.linalg.matrix_power(u.entries, n), EnsembleTag.FIXED)
-            assert abs(series.values[n - 1] - operator_entanglement_naive(un)) < 1e-10
+        for n_max in (1, 8):
+            series = operator_entanglement_series(u, n_max)
+            assert series.values.shape == (n_max,)
+            for n in range(1, n_max + 1):
+                un = UnitaryMatrix(dims, np.linalg.matrix_power(u.entries, n), EnsembleTag.FIXED)
+                assert abs(series.values[n - 1] - operator_entanglement_naive(un)) < 1e-10
 
 
 def test_time_average_of_diagonal_map_is_zero():

@@ -229,13 +229,16 @@ def test_metadata_reports_run_environment(monkeypatch):
     cfg = small_config()  # 600 samples = 2 chunks, so parallelism 2 uses the pool
     table = run_experiment(cfg, parallelism=2)
     env = table.metadata["env"]
-    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "parallelism", "thread_env"}
+    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "parallelism", "thread_env",
+                        "blas_threads"}
     assert env["python"] == ".".join(map(str, sys.version_info[:3]))
     assert env["numpy"] == np.__version__
     assert isinstance(env["scipy"], str) and env["scipy"]
     assert env["cpu_count"] == os.cpu_count()
     assert env["parallelism"] == 2
     assert env["thread_env"] == {"OMP_NUM_THREADS": "1"}
+    before = montecarlo._blas_threads()
+    assert env["blas_threads"] == {name: {"before": n, "run": 1} for name, n in before.items()}
     rate = table.metadata["samples_per_second"]
     assert isinstance(rate, float)
     assert rate == pytest.approx(cfg.samples / table.metadata["wall_seconds"])
@@ -261,6 +264,97 @@ def test_failing_chunk_cancels_chunks_not_started(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError, match="chunk 0 failed"):
         run_experiment(cfg, parallelism=2)
     assert len(started) < 8
+
+
+@pytest.fixture
+def blas_two_threads():
+    """Every OpenBLAS found set to two threads, so that a pin to one shows; reset after."""
+    libraries = montecarlo._openblas()
+    if not libraries:
+        pytest.skip("no OpenBLAS library loaded")
+    saved = montecarlo._blas_threads()
+    for _, _, set_threads in libraries:
+        set_threads(2)
+    try:
+        yield montecarlo._blas_threads()
+    finally:
+        for name, _, set_threads in libraries:
+            set_threads(saved[name])
+
+
+def _observing_blas_threads(monkeypatch) -> list:
+    """Patch the chunks' observe step to record the BLAS thread counts it runs under."""
+    seen = []
+    real = montecarlo._observe
+
+    def observe(*args):
+        seen.append(montecarlo._blas_threads())
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "_observe", observe)
+    return seen
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_blas_runs_one_thread_inside_chunks_and_is_restored(monkeypatch, blas_two_threads,
+                                                             parallelism):
+    seen = _observing_blas_threads(monkeypatch)
+    run_experiment(small_config(), parallelism=parallelism)
+    assert seen and all(set(counts.values()) == {1} for counts in seen)
+    assert montecarlo._blas_threads() == blas_two_threads
+
+
+def test_blas_threads_restored_after_failing_chunk(monkeypatch, blas_two_threads):
+    # the failing-chunk set-up of test_failing_chunk_cancels_chunks_not_started
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", montecarlo.BLOCK_SIZE)
+    cfg = small_config(samples=8 * montecarlo.BLOCK_SIZE)
+    first = sample_unitaries(cfg.ensemble, cfg.dims.d, [RandomStream(cfg.master_seed, 0)])[0]
+    real = montecarlo.decompose_block
+
+    def failing_first_chunk(u, dims, symmetric):
+        if np.array_equal(u[0], first):
+            raise np.linalg.LinAlgError("chunk 0 failed")
+        return real(u, dims, symmetric=symmetric)
+
+    monkeypatch.setattr(montecarlo, "decompose_block", failing_first_chunk)
+    seen = _observing_blas_threads(monkeypatch)
+    for parallelism in (1, 2):
+        with pytest.raises(np.linalg.LinAlgError, match="chunk 0 failed"):
+            run_experiment(cfg, parallelism=parallelism)
+        assert montecarlo._blas_threads() == blas_two_threads
+    assert all(set(counts.values()) == {1} for counts in seen)
+
+
+def test_concurrent_runs_share_one_blas_pin(monkeypatch, blas_two_threads):
+    # runs that overlap in time: a lost update of the pin's depth would
+    # restore the counts while another run is inside, or leave them pinned
+    seen = _observing_blas_threads(monkeypatch)
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", montecarlo.BLOCK_SIZE)
+    cfg = small_config(samples=4 * montecarlo.BLOCK_SIZE)
+    expected = run_experiment(cfg).rows
+    results, errors = [], []
+
+    def run():
+        try:
+            results.append(run_experiment(cfg, parallelism=2).rows)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=run) for _ in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
+    assert results == [expected] * 6
+    assert all(set(counts.values()) == {1} for counts in seen)
+    assert montecarlo._blas_threads() == blas_two_threads
 
 
 def test_parallel_run_needs_no_main_guard(tmp_path):
