@@ -72,8 +72,8 @@ _STAGES = ("sample", "decompose", "observe", "accumulate")
 # seeds become one 64-bit word of the Philox key
 _SEED_LIMIT = 2**64
 _ASYMPTOTIC_N = -1
-# BLAS thread settings worth echoing; they decide whether worker threads
-# and BLAS threads compete for the same cores
+# BLAS thread settings worth echoing; they set the OpenBLAS counts that a
+# run finds, pins to one and restores
 _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 # thread-count entry points of the OpenBLAS builds numpy and scipy ship,
 # with {} standing for get or set
