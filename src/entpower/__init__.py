@@ -30,7 +30,6 @@ from .dynamics import (
     matrix_power,
     operator_entanglement_series,
     spectral_decompose,
-    time_average_entropy,
 )
 from .ensembles import (
     BipartiteDims,
@@ -49,7 +48,6 @@ from .entanglement import (
     ReducedDensityMatrix,
     linear_entropy,
     operator_entanglement,
-    operator_entanglement_naive,
     reduced_density_a,
     reduced_density_b,
 )
@@ -81,14 +79,12 @@ __all__ = [
     "reduced_density_b",
     "linear_entropy",
     "operator_entanglement",
-    "operator_entanglement_naive",
     "SpectralDecomposition",
     "EntropySeries",
     "spectral_decompose",
     "matrix_power",
     "entropy_series",
     "operator_entanglement_series",
-    "time_average_entropy",
     "asymptotic_entropy_spectral",
     "form_factor_series",
     "CaseTag",

@@ -19,13 +19,13 @@ curves, asymptotic averages, form factors) take a block.  The
 per-unitary functions are the block functions called on a stack of
 one.
 
-One synthesis serves states and operators: a trajectory is
-sum_k basis_k c_k e^{i n phi_k}, with every e^{i n phi_k} from
-:func:`_phase_powers`.  States take the eigenvectors z_k with
-c_k = <z_k|psi> and keep one column per n, stacked over the block.
-Operators take the Choi vectors of the eigenprojectors |z_k><z_k| with
-c_k = 1/sqrt(d), which gives vec(U^n) / sqrt(d), and synthesize them
-n-major, one row per n, so that their purities take BLAS.
+The curves take every e^{i n phi_k} from :func:`_phase_powers`.
+States synthesise orbit columns, U^n psi = sum_k z_k <z_k|psi>
+e^{i n phi_k}, one column per n, stacked over the block.  Operators
+synthesise the Choi vectors vec(U^n) / sqrt(d) n-major, one row per n,
+as the weights e^{i n phi_k} / sqrt(d) times the Choi rows of the
+eigenprojectors |z_k><z_k|, so that their purities take BLAS.
+:func:`matrix_power` reconstructs a single power, U^n = Z e^{i n phi} Z^dag.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "entropy_series",
     "operator_curves",
     "operator_entanglement_series",
-    "time_average_entropy",
     "asymptotic_entropies",
     "asymptotic_entropy_spectral",
     "form_factors",
@@ -59,7 +58,6 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 _RESIDUAL_TOL = 1e-10
 _RESONANCE_TOL = 1e-9
-_TIME_AVERAGE_CHUNK = 20_000
 # c of eigh(H + cK).  Two phases share an eigenvalue of H + cK when
 # phi_a + phi_b = 2 atan(c) (mod 2pi); an irrational c keeps that off
 # the simple multiples of pi that permutations and test gates carry
@@ -77,9 +75,6 @@ class SpectralDecomposition:
     dims: BipartiteDims
     phases: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return _reconstruct(self.phases, self.vectors)
 
 
 @dataclass(eq=False)
@@ -177,33 +172,17 @@ def _phase_powers(phases: np.ndarray, ns: range) -> np.ndarray:
     return np.moveaxis(powers, 0, -1)
 
 
-def _synthesize(basis: np.ndarray, phases: np.ndarray, coeffs: np.ndarray, ns: range) -> np.ndarray:
-    """sum_k basis[..., k] coeffs[..., k] e^{i n phases[..., k]}, one per n in ns along the last axis.
-
-    phases and coeffs may carry leading stack axes matching basis's.
-    """
-    return basis @ (_phase_powers(phases, ns) * coeffs[..., None])
-
-
-def _projectors(z: np.ndarray) -> np.ndarray:
-    """Eigenprojectors |z_k><z_k| stacked along the last axis, shape (d, d, d)."""
-    return z[:, None, :] * z.conj()[None, :, :]
-
-
 def matrix_power(spec: SpectralDecomposition, n: int) -> UnitaryMatrix:
-    """U^n synthesized from the eigenbasis, sum_a e^{i n phi_a} |z_a><z_a|.
+    """U^n from the eigenbasis, Z diag(e^{i n phi}) Z^dag.
 
-    vec(U^n) comes from the shared synthesis over the vectorized
-    eigenprojectors, O(d^3) per power after one decomposition; repeated
-    direct multiplication (numpy matrix_power) is the oracle this is
-    checked against, not the implementation.
+    O(d^3) per power after one decomposition; repeated direct
+    multiplication (numpy matrix_power) is the oracle this is checked
+    against, not the implementation.  n = 1 is the reconstruction that
+    the decomposition checks.
     """
     if n < 0:
         raise ValueError(f"power must be >= 0, got {n}")
-    d = spec.dims.d
-    vec_un = _synthesize(_projectors(spec.vectors).reshape(d * d, d), spec.phases, np.ones(d),
-                         range(n, n + 1))
-    return UnitaryMatrix(spec.dims, vec_un.reshape(d, d), EnsembleTag.FIXED)
+    return UnitaryMatrix(spec.dims, _reconstruct(n * spec.phases, spec.vectors), EnsembleTag.FIXED)
 
 
 @dataclass(eq=False)
@@ -227,7 +206,8 @@ def _coefficients(block: SpectralBlock, states: np.ndarray) -> np.ndarray:
 
 def _entropies(block: SpectralBlock, coeffs: np.ndarray, ns: range) -> np.ndarray:
     """S_L(U^n psi) per unitary for each n in ns, shape (k, len(ns))."""
-    orbits = _synthesize(block.vectors, block.phases, coeffs, ns)
+    # the orbit columns sum_k z_k <z_k|psi> e^{i n phi_k}, one stacked product over the block
+    orbits = block.vectors @ (_phase_powers(block.phases, ns) * coeffs[..., None])
     return 1.0 - purity_batch(orbits, block.dims.d_a, block.dims.d_b)
 
 
@@ -288,30 +268,6 @@ def operator_entanglement_series(u: UnitaryMatrix, n_max: int) -> EntropySeries:
     """Operator entanglement of U^n for n = 1..n_max; see :func:`operator_curves`."""
     _check_n_max(n_max)
     return EntropySeries(np.arange(1, n_max + 1), operator_curves(_block_of(u), n_max)[0])
-
-
-def time_average_entropy(u: UnitaryMatrix, psi: PureState, n_total: int = 100_000) -> float:
-    """Brute-force mean of S_L(U^n psi) over n = 1..n_total; oracle only.
-
-    Converges to the infinite-time average like 1/n_total (the partial
-    sums of the oscillating terms stay bounded).  Tests check
-    :func:`asymptotic_entropy_spectral` against it; no estimator uses it.
-    Each chunk of steps takes e^{i n phi} from exp at its first n and by
-    products after, and either way a phase's roundoff grows like n eps:
-    with a phase at pi (SWAP on 3x3) 10^5 steps drift 2e-13 to 9e-13 off
-    the exact average (three random complex states), so tests gated
-    tighter than about 1e-11 should take fewer steps.
-    """
-    if n_total < 1:
-        raise ValueError(f"n_total must be >= 1, got {n_total}")
-    _check_pair(u, psi)
-    block = _block_of(u)
-    coeffs = _coefficients(block, psi.amplitudes[None])
-    total = 0.0
-    for start in range(1, n_total + 1, _TIME_AVERAGE_CHUNK):
-        ns = range(start, min(start + _TIME_AVERAGE_CHUNK, n_total + 1))
-        total += float(np.sum(_entropies(block, coeffs, ns)))
-    return total / n_total
 
 
 def _min_circular_gap(points: np.ndarray) -> np.ndarray:

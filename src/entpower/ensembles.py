@@ -15,12 +15,12 @@ sample's stream is a sequence of standard normals laid out as
 
 where the factors of a random product state take d_a and d_b normals
 for real states, 2 d_a and 2 d_b (real parts, then imaginary parts)
-for complex ones, and other samples draw no state.  The single-draw
-functions (:func:`sample_unitaries`, :func:`random_state`,
-:func:`random_product_states`) draw these pieces from a
-:class:`RandomStream` in that order; :func:`sample_block` draws a
-sample's whole row in one call through a re-keyed
-:class:`PhiloxStreams`.  Both routes assemble the normals with the same
+for complex ones, and other samples draw no state.  Runs draw a
+sample's whole row in one call through :func:`sample_block` and a
+re-keyed :class:`PhiloxStreams`.  :func:`sample_cue`, :func:`sample_coe`
+and :func:`random_state` draw one piece at a time, in the layout's
+order, from a :class:`RandomStream`'s own generator, so one stream can
+serve several draws.  Both routes assemble the normals with the same
 functions, so they give bit-identical unitaries and states.
 """
 
@@ -39,12 +39,10 @@ __all__ = [
     "PureState",
     "RandomStream",
     "PhiloxStreams",
-    "sample_unitaries",
     "sample_block",
     "sample_cue",
     "sample_coe",
     "random_state",
-    "random_product_states",
     "product_state",
     "basis_product_state",
 ]
@@ -264,25 +262,18 @@ def _product_states(dims: BipartiteDims, field_tag: FieldTag, normals: np.ndarra
     return (a[:, :, None] * b[:, None, :]).reshape(len(normals), dims.d)
 
 
-def sample_unitaries(ensemble: EnsembleTag, d: int, streams: list[RandomStream]) -> np.ndarray:
-    """One CUE or COE draw per stream, stacked as shape (k, d, d).
-
-    Each stream draws its own Ginibre matrix, real part then imaginary
-    part; see :func:`_unitaries` for the construction.
-    """
-    return _unitaries(ensemble, np.stack([s.generator().standard_normal((2, d, d)) for s in streams]))
-
-
 def sample_cue(d: int, stream: RandomStream, dims: BipartiteDims | None = None) -> UnitaryMatrix:
-    """Draw one Haar-distributed unitary from U(d); see :func:`sample_unitaries`."""
+    """Draw one Haar-distributed unitary from U(d); see :func:`_unitaries`."""
     dims = _checked_dims(d, dims)
-    return UnitaryMatrix(dims, sample_unitaries(EnsembleTag.CUE, d, [stream])[0], EnsembleTag.CUE)
+    normals = stream.generator().standard_normal((1, 2, d, d))
+    return UnitaryMatrix(dims, _unitaries(EnsembleTag.CUE, normals)[0], EnsembleTag.CUE)
 
 
 def sample_coe(d: int, stream: RandomStream, dims: BipartiteDims | None = None) -> UnitaryMatrix:
-    """Draw one COE matrix, U = W W^T with W Haar; see :func:`sample_unitaries`."""
+    """Draw one COE matrix, U = W W^T with W Haar; see :func:`_unitaries`."""
     dims = _checked_dims(d, dims)
-    return UnitaryMatrix(dims, sample_unitaries(EnsembleTag.COE, d, [stream])[0], EnsembleTag.COE)
+    normals = stream.generator().standard_normal((1, 2, d, d))
+    return UnitaryMatrix(dims, _unitaries(EnsembleTag.COE, normals)[0], EnsembleTag.COE)
 
 
 def random_state(d: int, field_tag: FieldTag, stream: RandomStream,
@@ -297,27 +288,15 @@ def random_state(d: int, field_tag: FieldTag, stream: RandomStream,
     return PureState(dims, _unit_vectors(field_tag, normals)[0], field_tag)
 
 
-def random_product_states(dims: BipartiteDims, field_tag: FieldTag,
-                          streams: list[RandomStream]) -> np.ndarray:
-    """Amplitudes of psi_A (x) psi_B, one random product state per stream, shape (k, d).
-
-    Each stream draws its A factor, then its B factor, as
-    ``product_state(random_state(d_a, ...), random_state(d_b, ...))``
-    does, and gives the same amplitudes.
-    """
-    width = _state_width(dims.d_a, field_tag) + _state_width(dims.d_b, field_tag)
-    return _product_states(dims, field_tag,
-                           np.stack([s.generator().standard_normal(width) for s in streams]))
-
-
 def sample_block(ensemble: EnsembleTag, dims: BipartiteDims, field_tag: FieldTag | None,
                  streams: PhiloxStreams, first: int, count: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Unitaries (count, d, d) and random product states (count, d) of samples first, first+1, ...
 
-    Bit for bit what ``sample_unitaries`` and then
-    ``random_product_states`` give on ``RandomStream(master_seed, i)``,
-    from one standard_normal call per sample and one assembly per
-    block.  field_tag None draws no states and returns None for them.
+    Bit for bit what ``sample_cue`` (or ``sample_coe``) and then
+    ``random_state`` for the A and B factors give on
+    ``RandomStream(master_seed, i)``, from one standard_normal call per
+    sample and one assembly per block.  field_tag None draws no states
+    and returns None for them.
     """
     d = dims.d
     width = 2 * d * d

@@ -11,6 +11,8 @@ Operators go through the same kernel.  The Choi vector vec(U) / sqrt(d),
 indexed (A_out A_in | B_out B_in), is the reshuffle R(U) / sqrt(d)
 flattened; it is a unit vector whose linear entropy across that split
 is the operator entanglement of U (Zanardi, PRA 63, 040304(R) (2001)).
+The literal eightfold index sum it is checked against is a test oracle
+(``tests/oracles.py``), not part of the package.
 """
 
 from __future__ import annotations
@@ -27,11 +29,7 @@ __all__ = [
     "reduced_density_b",
     "linear_entropy",
     "operator_entanglement",
-    "operator_entanglement_naive",
 ]
-
-# the naive reference implementation loops over d^4 index tuples
-_NAIVE_DIM_LIMIT = 12
 
 
 @dataclass(eq=False)
@@ -123,23 +121,3 @@ def operator_entanglement(u: UnitaryMatrix) -> float:
     d_a, d_b, d = u.dims.d_a, u.dims.d_b, u.dims.d
     choi = _reshuffled(u.entries, d_a, d_b) / np.sqrt(d)
     return float(1.0 - purity_batch(choi, d_a * d_a, d_b * d_b)[0])
-
-
-def operator_entanglement_naive(u: UnitaryMatrix) -> float:
-    """Reference implementation, literal eightfold index sum.
-
-    Computes 1 - (1/d^2) sum U[a1b1,a2b2] U*[a1b1',a2b2'] U*[a1'b1,a2'b2]
-    U[a1'b1',a2'b2'] over all primed/unprimed index tuples, O(d^4) work
-    with no factorization.  Only for cross-checking the reshuffle route;
-    refuses d > 12.
-    """
-    dims = u.dims
-    d_a, d_b, d = dims.d_a, dims.d_b, dims.d
-    if d > _NAIVE_DIM_LIMIT:
-        raise ValueError(f"naive operator entanglement is limited to d <= {_NAIVE_DIM_LIMIT}, got {d}")
-    u4 = u.entries.reshape(d_a, d_b, d_a, d_b)
-    s = np.einsum(
-        "aBcD,abcd,eBgD,ebgd->",
-        u4, u4.conj(), u4.conj(), u4,
-    )
-    return float(1.0 - s.real / (d * d))

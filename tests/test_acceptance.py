@@ -20,7 +20,6 @@ from entpower.dynamics import (
     asymptotic_entropy_spectral,
     matrix_power,
     spectral_decompose,
-    time_average_entropy,
 )
 from entpower.ensembles import (
     BipartiteDims,
@@ -30,7 +29,7 @@ from entpower.ensembles import (
     random_state,
     sample_cue,
 )
-from entpower.entanglement import operator_entanglement, operator_entanglement_naive
+from entpower.entanglement import operator_entanglement
 from entpower.montecarlo import (
     ExperimentConfig,
     ExperimentKind,
@@ -41,6 +40,7 @@ from entpower.montecarlo import (
 )
 
 from conftest import ACCEPTANCE_LINES, FIXTURE_CONFIGS, curve_stats
+from oracles import operator_entanglement_naive, time_average_entropy
 
 DIMS = BipartiteDims(4, 5)
 

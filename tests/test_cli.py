@@ -10,7 +10,7 @@ import pytest
 from entpower import cli, montecarlo
 from entpower.cli import main, table_from_json, table_to_csv, table_to_json
 from entpower.closedform import CaseTag, ep1, ep_inf, op_ent_cue
-from entpower.ensembles import EnsembleTag, RandomStream, sample_unitaries
+from entpower.ensembles import EnsembleTag, RandomStream, sample_cue
 from entpower.montecarlo import (
     ExperimentConfig,
     ExperimentKind,
@@ -242,7 +242,7 @@ def test_verify_form_factor_takes_moment(capsys):
 def test_failed_decomposition_exits_four_naming_the_sample(capsys, monkeypatch, samples,
                                                            parallelism, bad):
     # sample `bad` fails wherever it sits in its block and chunk
-    failing_u = sample_unitaries(EnsembleTag.CUE, 6, [RandomStream(5, bad)])[0]
+    failing_u = sample_cue(6, RandomStream(5, bad)).entries
     real = montecarlo.decompose_block
 
     def decompose(u, dims, symmetric):

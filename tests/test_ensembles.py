@@ -8,17 +8,19 @@ from entpower.ensembles import (
     BipartiteDims,
     EnsembleTag,
     FieldTag,
+    PhiloxStreams,
     PureState,
     RandomStream,
     basis_product_state,
     product_state,
-    random_product_states,
     random_state,
+    sample_block,
     sample_coe,
     sample_cue,
-    sample_unitaries,
 )
 from entpower.entanglement import linear_entropy
+
+from oracles import stream_draw
 
 
 def test_bipartite_dims():
@@ -78,28 +80,16 @@ def test_cue_determinism_bitwise():
     assert np.array_equal(a.entries, b.entries)
 
 
-def _one_haar_draw(d, stream):
-    # the single-matrix route: Ginibre real then imaginary part, QR, phase fix
-    rng = stream.generator()
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 @pytest.mark.parametrize("field_tag", [FieldTag.REAL, FieldTag.COMPLEX])
 @pytest.mark.parametrize("ensemble,sampler", [(EnsembleTag.CUE, sample_cue),
                                               (EnsembleTag.COE, sample_coe)], ids=["cue", "coe"])
 def test_stacked_draws_match_one_at_a_time(ensemble, sampler, field_tag):
     dims = BipartiteDims(4, 5)
-    streams = [RandomStream(61, i) for i in range(7)]
-    stacked = sample_unitaries(ensemble, 20, streams)
-    states = random_product_states(dims, field_tag, streams)
+    stacked, states = sample_block(ensemble, dims, field_tag, PhiloxStreams(61), 0, 7)
     for i in range(7):
-        w = _one_haar_draw(20, RandomStream(61, i))
-        if ensemble is EnsembleTag.COE:
-            p = w @ w.T
-            w = (p + p.T) / 2.0
-        assert np.array_equal(stacked[i], w)
+        u_ref, psi_ref = stream_draw(61, i, 4, 5, ensemble, field_tag)
+        assert np.array_equal(stacked[i], u_ref)
+        assert np.array_equal(states[i], psi_ref)
         # a fresh stream per sample: unitary first, then the A and B factors
         stream = RandomStream(61, i)
         assert np.array_equal(stacked[i], sampler(20, stream, dims).entries)

@@ -17,10 +17,11 @@ from entpower.ensembles import (
 from entpower.entanglement import (
     linear_entropy,
     operator_entanglement,
-    operator_entanglement_naive,
     reduced_density_a,
     reduced_density_b,
 )
+
+from oracles import operator_entanglement_naive
 
 
 def bell_state():

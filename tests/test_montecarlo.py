@@ -14,7 +14,14 @@ import pytest
 import entpower
 from entpower import dynamics, montecarlo
 from entpower.dynamics import form_factor_series
-from entpower.ensembles import EnsembleTag, FieldTag, RandomStream, sample_cue, sample_unitaries
+from entpower.ensembles import (
+    EnsembleTag,
+    FieldTag,
+    PhiloxStreams,
+    RandomStream,
+    sample_block,
+    sample_cue,
+)
 from entpower.montecarlo import (
     ConfigError,
     ExperimentConfig,
@@ -23,6 +30,8 @@ from entpower.montecarlo import (
     run_experiment,
     z_score,
 )
+
+import oracles
 
 
 def small_config(**overrides):
@@ -129,27 +138,6 @@ def test_rows_independent_of_block_size(monkeypatch, kind, ensemble, state):
     assert run_experiment(cfg).rows == blocked
 
 
-def _stream_sample(seed, index, d_a, d_b, ensemble, field_tag):
-    """Sample `index`'s unitary and random product state, straight from its RandomStream."""
-    rng = RandomStream(seed, index).generator()
-    d = d_a * d_b
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    if ensemble is EnsembleTag.COE:
-        p = u @ u.T
-        u = (p + p.T) / 2.0
-    if field_tag is None:
-        return u, None
-    factors = []
-    for dim in (d_a, d_b):
-        v = rng.standard_normal(dim).astype(np.complex128)
-        if field_tag is FieldTag.COMPLEX:
-            v = v + 1j * rng.standard_normal(dim)
-        factors.append(v / np.linalg.norm(v, axis=-1, keepdims=True))
-    return u, np.kron(*factors)
-
-
 @pytest.mark.parametrize("state,field_tag", [
     (StateMode.FIXED_PRODUCT, None),
     (StateMode.RANDOM_REAL_PRODUCT, FieldTag.REAL),
@@ -176,7 +164,7 @@ def test_block_draws_equal_stream_draws_bitwise(monkeypatch, ensemble, state, fi
     run_experiment(cfg, parallelism=parallelism)
     assert sorted(drawn) == list(range(cfg.samples))
     for i, (u, psi) in drawn.items():
-        u_ref, psi_ref = _stream_sample(cfg.master_seed, i, 2, 3, ensemble, field_tag)
+        u_ref, psi_ref = oracles.stream_draw(cfg.master_seed, i, 2, 3, ensemble, field_tag)
         assert np.array_equal(u, u_ref), i
         if field_tag is None:
             assert psi is None
@@ -211,8 +199,8 @@ def test_metadata_numerics_merge_over_blocks_and_chunks(monkeypatch):
     assert 0 < numerics["max_residual"] < 1e-10
     assert numerics["resonant_samples"] == 0
     # the smallest circular eigenphase gap over all 600 samples, from eigvals
-    us = sample_unitaries(cfg.ensemble, cfg.dims.d,
-                          [RandomStream(cfg.master_seed, i) for i in range(cfg.samples)])
+    us, _ = sample_block(cfg.ensemble, cfg.dims, None, PhiloxStreams(cfg.master_seed), 0,
+                         cfg.samples)
     phases = np.sort(np.mod(np.angle(np.linalg.eigvals(us)), 2 * np.pi), axis=-1)
     gaps = np.diff(phases, axis=-1, append=phases[:, :1] + 2 * np.pi)
     assert abs(numerics["min_phase_gap"] - gaps.min()) < 1e-10
@@ -249,7 +237,7 @@ def test_failing_chunk_cancels_chunks_not_started(monkeypatch):
     # others are slowed so that the pool could not finish them unasked
     monkeypatch.setattr(montecarlo, "CHUNK_SIZE", montecarlo.BLOCK_SIZE)
     cfg = small_config(samples=8 * montecarlo.BLOCK_SIZE)
-    first = sample_unitaries(cfg.ensemble, cfg.dims.d, [RandomStream(cfg.master_seed, 0)])[0]
+    first = sample_block(cfg.ensemble, cfg.dims, None, PhiloxStreams(cfg.master_seed), 0, 1)[0][0]
     real = montecarlo.decompose_block
     started = []
 
@@ -308,7 +296,7 @@ def test_blas_threads_restored_after_failing_chunk(monkeypatch, blas_two_threads
     # the failing-chunk set-up of test_failing_chunk_cancels_chunks_not_started
     monkeypatch.setattr(montecarlo, "CHUNK_SIZE", montecarlo.BLOCK_SIZE)
     cfg = small_config(samples=8 * montecarlo.BLOCK_SIZE)
-    first = sample_unitaries(cfg.ensemble, cfg.dims.d, [RandomStream(cfg.master_seed, 0)])[0]
+    first = sample_block(cfg.ensemble, cfg.dims, None, PhiloxStreams(cfg.master_seed), 0, 1)[0][0]
     real = montecarlo.decompose_block
 
     def failing_first_chunk(u, dims, symmetric):
@@ -435,7 +423,8 @@ def test_asymptotic_resonant_sample_needs_no_time_average(monkeypatch):
         raise AssertionError("brute-force time average called")
 
     monkeypatch.setattr(montecarlo, "time_average_entropy", no_time_average, raising=False)
-    monkeypatch.setattr(dynamics, "time_average_entropy", no_time_average)
+    monkeypatch.setattr(oracles, "time_average_entropy", no_time_average)
+    assert not hasattr(dynamics, "time_average_entropy")
     cfg = small_config(kind=ExperimentKind.ASYMPTOTIC, ensemble=EnsembleTag.COE,
                        state_mode=StateMode.RANDOM_REAL_PRODUCT, d_a=4, d_b=5, n_max=1,
                        samples=3600, master_seed=2024)
