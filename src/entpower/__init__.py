@@ -22,14 +22,13 @@ from .closedform import (
     op_ent_cue,
 )
 from .dynamics import (
-    EntropySeries,
-    SpectralDecomposition,
-    asymptotic_entropy_spectral,
-    entropy_series,
-    form_factor_series,
+    SpectralBlock,
+    asymptotic_entropies,
+    decompose_block,
+    entropy_curves,
+    form_factors,
     matrix_power,
-    operator_entanglement_series,
-    spectral_decompose,
+    operator_curves,
 )
 from .ensembles import (
     BipartiteDims,
@@ -44,13 +43,7 @@ from .ensembles import (
     sample_coe,
     sample_cue,
 )
-from .entanglement import (
-    ReducedDensityMatrix,
-    linear_entropy,
-    operator_entanglement,
-    reduced_density_a,
-    reduced_density_b,
-)
+from .entanglement import purity_batch
 from .montecarlo import (
     ConfigError,
     ExperimentConfig,
@@ -74,19 +67,14 @@ __all__ = [
     "random_state",
     "product_state",
     "basis_product_state",
-    "ReducedDensityMatrix",
-    "reduced_density_a",
-    "reduced_density_b",
-    "linear_entropy",
-    "operator_entanglement",
-    "SpectralDecomposition",
-    "EntropySeries",
-    "spectral_decompose",
+    "purity_batch",
+    "SpectralBlock",
+    "decompose_block",
     "matrix_power",
-    "entropy_series",
-    "operator_entanglement_series",
-    "asymptotic_entropy_spectral",
-    "form_factor_series",
+    "entropy_curves",
+    "operator_curves",
+    "asymptotic_entropies",
+    "form_factors",
     "CaseTag",
     "FitResult",
     "ep1",

@@ -25,10 +25,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .closedform import CaseTag, ep1, ep_inf, gate_form_factor_fit, op_ent_cue
-from .dynamics import EntropySeries
 from .ensembles import EnsembleTag
 from .montecarlo import (
     ConfigError,
@@ -371,9 +368,8 @@ def _cmd_fit(opts: dict) -> int:
     if cfg.n_max < 2 * d:
         raise ConfigError(f"fit needs the plateau resolved: --nmax at least {2 * d}")
     table = run_experiment(cfg, parallelism=opts.get("parallelism", 1))
-    series = EntropySeries(np.array([r.n for r in table.rows]),
-                           np.array([r.mean for r in table.rows]))
-    gate = gate_form_factor_fit(series, [r.stderr for r in table.rows], cfg.d_a, cfg.d_b)
+    gate = gate_form_factor_fit([r.n for r in table.rows], [r.mean for r in table.rows],
+                                [r.stderr for r in table.rows], cfg.d_a, cfg.d_b)
     fit = gate.fit
     print(f"c1={_fmt(fit.c1)} c2={_fmt(fit.c2)} c3={_fmt(fit.c3)} c4={_fmt(fit.c4)}")
     print(f"{'PASS' if gate.residual_ok else 'FAIL'} residual_rms={_fmt(fit.residual_rms)} "

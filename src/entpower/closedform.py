@@ -165,17 +165,17 @@ def _design_matrix(ns: np.ndarray, d: int) -> np.ndarray:
     return np.column_stack([np.ones_like(k1), k1 * k1, k2, k1])
 
 
-def fit_form_factor_model(series, d: int) -> FitResult:
+def fit_form_factor_model(ns: np.ndarray, values: np.ndarray, d: int) -> FitResult:
     """OLS fit of S(n) = c1 + c2 K(n)^2 + c3 K(2n) + c4 K(n), K = min(., d).
 
     A CUE-averaged entropy curve must have this shape (its time
     dependence enters only through fourth-moment phase averages, which
-    reduce to the three basic form factors).  The series should cover
-    both the ramp n < d and the plateau n >= d, otherwise the design
-    matrix degenerates and a rank error is raised.
+    reduce to the three basic form factors).  values[j] is S(ns[j]);
+    the steps should cover both the ramp n < d and the plateau n >= d,
+    otherwise the design matrix degenerates and a rank error is raised.
     """
-    ns = np.asarray(series.ns)
-    values = np.asarray(series.values, dtype=np.float64)
+    ns = np.asarray(ns)
+    values = np.asarray(values, dtype=np.float64)
     design = _design_matrix(ns, d)
     coeffs, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
     if rank < 4:
@@ -208,10 +208,10 @@ class FitGate:
     plateau_ok: bool
 
 
-def gate_form_factor_fit(series, stderrs, d_a: int, d_b: int) -> FitGate:
+def gate_form_factor_fit(ns: np.ndarray, values: np.ndarray, stderrs, d_a: int, d_b: int) -> FitGate:
     """Fit and gate a CUE entropy curve (ns, values) reaching n = 2d, with each mean's stderr."""
     d = _check_dims(d_a, d_b)
-    fit = fit_form_factor_model(series, d)
+    fit = fit_form_factor_model(ns, values, d)
     pooled = float(np.sqrt(np.mean(np.asarray(stderrs) ** 2)))
     plateau = float(model_prediction(fit, np.array([2 * d]), d)[0])
     target = ep_inf(CaseTag.A_CUE_COMPLEX, d_a, d_b)

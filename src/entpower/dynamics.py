@@ -15,9 +15,8 @@ time average of the linear entropy by matching pair sums of phases.
 
 Work runs on blocks: a :class:`SpectralBlock` holds the decompositions
 of a stack of unitaries, and the observables (entropy curves, operator
-curves, asymptotic averages, form factors) take a block.  The
-per-unitary functions are the block functions called on a stack of
-one.
+curves, asymptotic averages, form factors) take a block.  A single
+unitary is a stack of one, ``decompose_block(u.entries[None], dims)``.
 
 The curves take every e^{i n phi_k} from :func:`_phase_powers`.
 States synthesise orbit columns, U^n psi = sum_k z_k <z_k|psi>
@@ -25,7 +24,8 @@ e^{i n phi_k}, one column per n, stacked over the block.  Operators
 synthesise the Choi vectors vec(U^n) / sqrt(d) n-major, one row per n,
 as the weights e^{i n phi_k} / sqrt(d) times the Choi rows of the
 eigenprojectors |z_k><z_k|, so that their purities take BLAS.
-:func:`matrix_power` reconstructs a single power, U^n = Z e^{i n phi} Z^dag.
+:func:`matrix_power` reconstructs one power of every unitary of a block,
+U^n = Z e^{i n phi} Z^dag.
 """
 
 from __future__ import annotations
@@ -35,24 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ensembles import BipartiteDims, EnsembleTag, PureState, UnitaryMatrix
+from .ensembles import BipartiteDims
 from .entanglement import _b_major, purity_batch, reduced_density_batch
 
 __all__ = [
-    "SpectralDecomposition",
     "SpectralBlock",
-    "EntropySeries",
     "decompose_block",
-    "spectral_decompose",
     "matrix_power",
     "entropy_curves",
-    "entropy_series",
     "operator_curves",
-    "operator_entanglement_series",
     "asymptotic_entropies",
-    "asymptotic_entropy_spectral",
     "form_factors",
-    "form_factor_series",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -65,26 +58,13 @@ _EIGH_MIX = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(eq=False)
-class SpectralDecomposition:
-    """Eigenphases and eigenvectors of a unitary.
-
-    phases[k] in [0, 2pi) and vectors[:, k] satisfy
-    U vectors[:, k] = exp(i phases[k]) vectors[:, k]; vectors is unitary.
-    """
-
-    dims: BipartiteDims
-    phases: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(eq=False)
 class SpectralBlock:
     """Decompositions of a stack of k unitaries on one bipartition.
 
-    phases (k, d) in [0, 2pi) and vectors (k, d, d) as in
-    :class:`SpectralDecomposition`, one row per unitary; residuals (k,)
-    holds each max |Z e^{i phi} Z^dag - U|, and redos counts the
-    unitaries the Schur form had to decompose.
+    phases (k, d) in [0, 2pi) and unitary vectors (k, d, d), one row
+    per unitary: U vectors[i][:, j] = exp(i phases[i, j]) vectors[i][:, j].
+    residuals (k,) holds each max |Z e^{i phi} Z^dag - U|, and redos
+    counts the unitaries the Schur form had to decompose.
     """
 
     dims: BipartiteDims
@@ -140,20 +120,6 @@ def decompose_block(entries: np.ndarray, dims: BipartiteDims, symmetric: bool = 
     return SpectralBlock(dims, phases, z, residuals, len(redo))
 
 
-def _block_of(u: UnitaryMatrix) -> SpectralBlock:
-    return decompose_block(u.entries[None], u.dims, symmetric=u.ensemble_tag is EnsembleTag.COE)
-
-
-def spectral_decompose(u: UnitaryMatrix) -> SpectralDecomposition:
-    """Diagonalize a unitary with orthonormal eigenvectors; see :func:`decompose_block`.
-
-    COE-tagged unitaries take the real route.  Raises LinAlgError if
-    the reconstruction misses U by more than 1e-10.
-    """
-    block = _block_of(u)
-    return SpectralDecomposition(u.dims, block.phases[0], block.vectors[0])
-
-
 def _phase_powers(phases: np.ndarray, ns: range) -> np.ndarray:
     """e^{i n phases} for each n of the step-1 range ns, along a new last axis.
 
@@ -172,8 +138,8 @@ def _phase_powers(phases: np.ndarray, ns: range) -> np.ndarray:
     return np.moveaxis(powers, 0, -1)
 
 
-def matrix_power(spec: SpectralDecomposition, n: int) -> UnitaryMatrix:
-    """U^n from the eigenbasis, Z diag(e^{i n phi}) Z^dag.
+def matrix_power(block: SpectralBlock, n: int) -> np.ndarray:
+    """U^n of every unitary of the block, Z diag(e^{i n phi}) Z^dag, shape (k, d, d).
 
     O(d^3) per power after one decomposition; repeated direct
     multiplication (numpy matrix_power) is the oracle this is checked
@@ -182,21 +148,7 @@ def matrix_power(spec: SpectralDecomposition, n: int) -> UnitaryMatrix:
     """
     if n < 0:
         raise ValueError(f"power must be >= 0, got {n}")
-    return UnitaryMatrix(spec.dims, _reconstruct(n * spec.phases, spec.vectors), EnsembleTag.FIXED)
-
-
-@dataclass(eq=False)
-class EntropySeries:
-    """Linear entropies along a trajectory, values[k] at step n = ns[k]."""
-
-    ns: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.ns = np.asarray(self.ns, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.ns.shape != self.values.shape or self.ns.ndim != 1:
-            raise ValueError("ns and values must be matching 1d arrays")
+    return _reconstruct(n * block.phases, block.vectors)
 
 
 def _coefficients(block: SpectralBlock, states: np.ndarray) -> np.ndarray:
@@ -211,30 +163,18 @@ def _entropies(block: SpectralBlock, coeffs: np.ndarray, ns: range) -> np.ndarra
     return 1.0 - purity_batch(orbits, block.dims.d_a, block.dims.d_b)
 
 
-def entropy_curves(block: SpectralBlock, states: np.ndarray, n_max: int) -> np.ndarray:
-    """S_L(U^n psi) for n = 1..n_max, states (k, d) -> (k, n_max).
-
-    One synthesis of every orbit of the block and one batched purity.
-    """
-    return _entropies(block, _coefficients(block, states), range(1, n_max + 1))
-
-
-def _check_pair(u: UnitaryMatrix, psi: PureState) -> None:
-    if psi.dims != u.dims:
-        raise ValueError(f"state dims {psi.dims} do not match unitary dims {u.dims}")
-
-
 def _check_n_max(n_max: int) -> None:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 
 
-def entropy_series(u: UnitaryMatrix, psi: PureState, n_max: int) -> EntropySeries:
-    """S_L(U^n psi) for n = 1..n_max, one synthesis of the whole orbit."""
+def entropy_curves(block: SpectralBlock, states: np.ndarray, n_max: int) -> np.ndarray:
+    """S_L(U^n psi) for n = 1..n_max, states (k, d) -> (k, n_max).
+
+    One synthesis of every orbit of the block and one batched purity.
+    """
     _check_n_max(n_max)
-    _check_pair(u, psi)
-    values = entropy_curves(_block_of(u), psi.amplitudes[None], n_max)[0]
-    return EntropySeries(np.arange(1, n_max + 1), values)
+    return _entropies(block, _coefficients(block, states), range(1, n_max + 1))
 
 
 def operator_curves(block: SpectralBlock, n_max: int) -> np.ndarray:
@@ -251,7 +191,13 @@ def operator_curves(block: SpectralBlock, n_max: int) -> np.ndarray:
     O(d^3 + d^2 n_max) per unitary, d projector rows and n_max Choi
     rows of length d^2: the unitaries of a block are taken one at a
     time.
+
+    Only ``run_experiment`` holds OpenBLAS at one thread.  Called
+    directly, the Choi product can wake a second BLAS thread for a loss:
+    355-391 against 316-331 us/sample pinned (4x5, 16-sample block, 2
+    cores).  Set ``OPENBLAS_NUM_THREADS=1`` before numpy loads to match.
     """
+    _check_n_max(n_max)
     d_a, d_b, d = block.dims.d_a, block.dims.d_b, block.dims.d
     ns = range(1, n_max + 1)
     curves = np.empty((len(block.phases), n_max))
@@ -262,12 +208,6 @@ def operator_curves(block: SpectralBlock, n_max: int) -> np.ndarray:
         choi = weights @ rows.reshape(d, d * d)
         curves[i] = 1.0 - purity_batch(choi.T, d_a * d_a, d_b * d_b)
     return curves
-
-
-def operator_entanglement_series(u: UnitaryMatrix, n_max: int) -> EntropySeries:
-    """Operator entanglement of U^n for n = 1..n_max; see :func:`operator_curves`."""
-    _check_n_max(n_max)
-    return EntropySeries(np.arange(1, n_max + 1), operator_curves(_block_of(u), n_max)[0])
 
 
 def _min_circular_gap(points: np.ndarray) -> np.ndarray:
@@ -353,19 +293,8 @@ def asymptotic_entropies(block: SpectralBlock, states: np.ndarray) -> tuple[np.n
     return 1.0 - avg_purity, resonant
 
 
-def asymptotic_entropy_spectral(u: UnitaryMatrix, psi: PureState) -> float:
-    """Infinite-time average of S_L(U^n psi); see :func:`asymptotic_entropies`."""
-    _check_pair(u, psi)
-    return float(asymptotic_entropies(_block_of(u), psi.amplitudes[None])[0][0])
-
-
 def form_factors(phases: np.ndarray, n_max: int) -> np.ndarray:
     """|tr U^n|^2 for n = 1..n_max from eigenphases, (k, d) -> (k, n_max)."""
+    _check_n_max(n_max)
     traces = np.sum(_phase_powers(phases, range(1, n_max + 1)), axis=-2)
     return np.abs(traces) ** 2
-
-
-def form_factor_series(u: UnitaryMatrix, n_max: int) -> np.ndarray:
-    """|tr U^n|^2 for n = 1..n_max, shape (n_max,)."""
-    _check_n_max(n_max)
-    return form_factors(_block_of(u).phases, n_max)[0]

@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
+# seeds and stream indices become the two 64-bit words of the Philox key
+_SEED_LIMIT = 2**64
 
 
 class EnsembleTag(Enum):
@@ -95,8 +97,8 @@ class UnitaryMatrix:
         caller's responsibility (samplers guarantee it to ~1e-14, see
         :meth:`unitarity_defect`).
     ensemble_tag :
-        Where the matrix came from.  Derived matrices (powers,
-        reconstructions) carry ``EnsembleTag.FIXED``.
+        Where the matrix came from.  Matrices built by hand or derived
+        from others carry ``EnsembleTag.FIXED``.
     """
 
     dims: BipartiteDims
@@ -159,8 +161,8 @@ class RandomStream:
     _generator: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.master_seed < 0 or self.stream_index < 0:
-            raise ValueError("master_seed and stream_index must be non-negative")
+        if not (0 <= self.master_seed < _SEED_LIMIT and 0 <= self.stream_index < _SEED_LIMIT):
+            raise ValueError("master_seed and stream_index must be in [0, 2**64)")
 
     def generator(self) -> np.random.Generator:
         if self._generator is None:
@@ -181,8 +183,8 @@ class PhiloxStreams:
     """
 
     def __init__(self, master_seed: int):
-        if master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
+        if not 0 <= master_seed < _SEED_LIMIT:
+            raise ValueError("master_seed must be in [0, 2**64)")
         self._bit_generator = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
         self._generator = np.random.Generator(self._bit_generator)
         # a freshly keyed state (counter 0, buffer empty); setting it copies

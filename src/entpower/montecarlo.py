@@ -43,6 +43,7 @@ from .ensembles import (
     BipartiteDims,
     EnsembleTag,
     FieldTag,
+    _SEED_LIMIT,
     PhiloxStreams,
     basis_product_state,
     sample_block,
@@ -69,8 +70,6 @@ CHUNK_SIZE = 512
 # costs megabytes of stacked orbits for no further gain
 BLOCK_SIZE = 16
 _STAGES = ("sample", "decompose", "observe", "accumulate")
-# seeds become one 64-bit word of the Philox key
-_SEED_LIMIT = 2**64
 _ASYMPTOTIC_N = -1
 # BLAS thread settings worth echoing; they set the OpenBLAS counts that a
 # run finds, pins to one and restores

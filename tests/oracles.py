@@ -9,7 +9,7 @@ None of them is part of the package.
 
 import numpy as np
 
-from entpower.dynamics import _block_of, _check_pair, _coefficients, _entropies
+from entpower.dynamics import _coefficients, _entropies, decompose_block
 from entpower.ensembles import EnsembleTag, FieldTag, PureState, RandomStream, UnitaryMatrix
 
 # the naive reference implementation loops over d^4 index tuples
@@ -49,8 +49,8 @@ def operator_entanglement_naive(u: UnitaryMatrix) -> float:
 
     Computes 1 - (1/d^2) sum U[a1b1,a2b2] U*[a1b1',a2b2'] U*[a1'b1,a2'b2]
     U[a1'b1',a2'b2'] over all primed/unprimed index tuples, O(d^4) work
-    with no factorization.  Only for cross-checking the reshuffle route;
-    refuses d > 12.
+    with no factorization.  Only for cross-checking the Choi synthesis
+    of :func:`~entpower.dynamics.operator_curves`; refuses d > 12.
     """
     dims = u.dims
     d_a, d_b, d = dims.d_a, dims.d_b, dims.d
@@ -69,7 +69,8 @@ def time_average_entropy(u: UnitaryMatrix, psi: PureState, n_total: int = 100_00
 
     Converges to the infinite-time average like 1/n_total (the partial
     sums of the oscillating terms stay bounded).  Tests check
-    :func:`asymptotic_entropy_spectral` against it; no estimator uses it.
+    :func:`~entpower.dynamics.asymptotic_entropies` against it; no
+    estimator uses it.
     Each chunk of steps takes e^{i n phi} from exp at its first n and by
     products after, and either way a phase's roundoff grows like n eps:
     with a phase at pi (SWAP on 3x3) 10^5 steps drift 2e-13 to 9e-13 off
@@ -78,8 +79,9 @@ def time_average_entropy(u: UnitaryMatrix, psi: PureState, n_total: int = 100_00
     """
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
-    _check_pair(u, psi)
-    block = _block_of(u)
+    if psi.dims != u.dims:
+        raise ValueError(f"state dims {psi.dims} do not match unitary dims {u.dims}")
+    block = decompose_block(u.entries[None], u.dims, symmetric=u.ensemble_tag is EnsembleTag.COE)
     coeffs = _coefficients(block, psi.amplitudes[None])
     total = 0.0
     for start in range(1, n_total + 1, _TIME_AVERAGE_CHUNK):

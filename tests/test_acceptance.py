@@ -15,12 +15,7 @@ import numpy as np
 
 from entpower.cli import table_to_csv
 from entpower.closedform import CaseTag, ep1, ep_inf, gap_leading, gate_form_factor_fit
-from entpower.dynamics import (
-    EntropySeries,
-    asymptotic_entropy_spectral,
-    matrix_power,
-    spectral_decompose,
-)
+from entpower.dynamics import asymptotic_entropies, decompose_block, matrix_power, operator_curves
 from entpower.ensembles import (
     BipartiteDims,
     EnsembleTag,
@@ -29,7 +24,6 @@ from entpower.ensembles import (
     random_state,
     sample_cue,
 )
-from entpower.entanglement import operator_entanglement
 from entpower.montecarlo import (
     ExperimentConfig,
     ExperimentKind,
@@ -126,34 +120,34 @@ def test_criterion_06_form_factor_suite(form_factor_run, fourth_moment_run):
 
 
 def test_criterion_07_oracle_equivalences():
-    # (i) reshuffled-Gram operator entanglement vs the eightfold index sum
+    # (i) the n = 1 operator curve, from the Choi synthesis, vs the eightfold index sum
     stream = RandomStream(7001, 0)
     shapes = [(2, 2), (2, 3), (3, 3), (2, 5), (3, 4), (2, 6), (4, 3), (6, 2), (5, 2), (3, 2)]
     worst_opent = 0.0
     for i in range(100):
         da, db = shapes[i % len(shapes)]
         u = sample_cue(da * db, stream, dims=BipartiteDims(da, db))
-        worst_opent = max(worst_opent,
-                          abs(operator_entanglement(u) - operator_entanglement_naive(u)))
+        fast = operator_curves(decompose_block(u.entries[None], u.dims), 1)[0, 0]
+        worst_opent = max(worst_opent, abs(fast - operator_entanglement_naive(u)))
     # (ii) pairing-formula asymptote vs the brute-force time average
     stream = RandomStream(7002, 0)
     worst_asym = 0.0
     for _ in range(50):
         u = sample_cue(20, stream, dims=DIMS)
         psi = random_state(20, FieldTag.COMPLEX, stream, dims=DIMS)
-        worst_asym = max(worst_asym, abs(asymptotic_entropy_spectral(u, psi)
-                                         - time_average_entropy(u, psi, 100_000)))
+        block = decompose_block(u.entries[None], DIMS)
+        spectral = asymptotic_entropies(block, psi.amplitudes[None])[0][0]
+        worst_asym = max(worst_asym, abs(spectral - time_average_entropy(u, psi, 100_000)))
     # (iii) eigenbasis-synthesized powers vs repeated multiplication
     stream = RandomStream(7003, 0)
     worst_pow = 0.0
     for _ in range(20):
         u = sample_cue(20, stream, dims=DIMS)
-        spec = spectral_decompose(u)
+        block = decompose_block(u.entries[None], DIMS)
         direct = np.eye(20, dtype=complex)
         for n in range(1, 41):
             direct = direct @ u.entries
-            worst_pow = max(worst_pow,
-                            np.max(np.abs(matrix_power(spec, n).entries - direct)))
+            worst_pow = max(worst_pow, np.max(np.abs(matrix_power(block, n)[0] - direct)))
     ok = worst_opent < 1e-10 and worst_asym < 2e-3 and worst_pow < 1e-8
     record(7, "oracle equivalences (opent, asymptote, powers)", ok,
            f"opent={worst_opent:.2e}<1e-10 asym={worst_asym:.2e}<2e-3 pow={worst_pow:.2e}<1e-8")
@@ -176,7 +170,7 @@ def test_criterion_08_exact_identities():
 def test_criterion_09_form_factor_model_fit(cue_ep_run):
     means, stderrs = curve_stats(cue_ep_run)
     ns = np.array([r.n for r in cue_ep_run.rows])
-    gate = gate_form_factor_fit(EntropySeries(ns, means), stderrs, 4, 5)
+    gate = gate_form_factor_fit(ns, means, stderrs, 4, 5)
     rms = gate.fit.residual_rms
     record(9, "cue ep curve follows min(n,d) form-factor model",
            gate.residual_ok and gate.plateau_ok,

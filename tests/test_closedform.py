@@ -16,7 +16,6 @@ from entpower.closedform import (
     model_prediction,
     op_ent_cue,
 )
-from entpower.dynamics import EntropySeries
 
 A, B, C = CaseTag.A_CUE_COMPLEX, CaseTag.B_COE_COMPLEX, CaseTag.C_COE_REAL
 
@@ -100,28 +99,29 @@ def test_gap_leading_consistent_with_exact_rationals(case):
 
 
 def synthetic_series(coeffs, d=20, n_max=40):
+    """(ns, values) of the exact model curve."""
     ns = np.arange(1, n_max + 1)
     k1 = np.minimum(ns, d)
     k2 = np.minimum(2 * ns, d)
     values = coeffs[0] + coeffs[1] * k1**2 + coeffs[2] * k2 + coeffs[3] * k1
-    return EntropySeries(ns, values)
+    return ns, values
 
 
 def test_fit_recovers_exact_model():
     coeffs = (0.57, -2.4e-4, 3.1e-4, 9.7e-4)
-    fit = fit_form_factor_model(synthetic_series(coeffs), 20)
+    fit = fit_form_factor_model(*synthetic_series(coeffs), 20)
     assert np.allclose([fit.c1, fit.c2, fit.c3, fit.c4], coeffs, atol=1e-10)
     assert fit.residual_rms < 1e-12
 
 
 def test_fit_prediction_saturates_past_heisenberg_time():
-    fit = fit_form_factor_model(synthetic_series((0.5, -1e-4, 2e-4, 1e-3)), 20)
+    fit = fit_form_factor_model(*synthetic_series((0.5, -1e-4, 2e-4, 1e-3)), 20)
     preds = model_prediction(fit, np.array([20, 25, 40, 100]), 20)
     assert np.max(np.abs(preds - preds[0])) < 1e-10
 
 
 def test_fit_rejects_rank_deficient_series():
     # with n <= d/2 the K(2n) column is exactly 2 K(n): degenerate design
-    series = synthetic_series((0.5, -1e-4, 2e-4, 1e-3), d=20, n_max=10)
+    ns, values = synthetic_series((0.5, -1e-4, 2e-4, 1e-3), d=20, n_max=10)
     with pytest.raises(ValueError):
-        fit_form_factor_model(series, 20)
+        fit_form_factor_model(ns, values, 20)

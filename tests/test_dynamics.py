@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from entpower import dynamics
 from entpower.dynamics import (
-    asymptotic_entropy_spectral,
+    asymptotic_entropies,
     decompose_block,
-    entropy_series,
-    form_factor_series,
+    entropy_curves,
+    form_factors,
     matrix_power,
-    operator_entanglement_series,
-    spectral_decompose,
+    operator_curves,
 )
 from entpower.ensembles import (
     BipartiteDims,
@@ -26,7 +25,7 @@ from entpower.ensembles import (
     sample_coe,
     sample_cue,
 )
-from entpower.entanglement import linear_entropy
+from entpower.entanglement import purity_batch
 
 from oracles import operator_entanglement_naive, time_average_entropy
 
@@ -41,6 +40,23 @@ def cue(seed, idx=0, dims=DIMS45):
     return sample_cue(dims.d, RandomStream(seed, idx), dims)
 
 
+def block_of(u):
+    """The decomposition of one unitary, a block of one; COE draws take the real route."""
+    return decompose_block(u.entries[None], u.dims, u.ensemble_tag is EnsembleTag.COE)
+
+
+def state_entropy(psi):
+    return 1.0 - purity_batch(psi.amplitudes[:, None], psi.dims.d_a, psi.dims.d_b)[0]
+
+
+def entropy_curve(u, psi, n_max):
+    return entropy_curves(block_of(u), psi.amplitudes[None], n_max)[0]
+
+
+def asymptote(u, psi):
+    return asymptotic_entropies(block_of(u), psi.amplitudes[None])[0][0]
+
+
 def evolved_state(u, psi, n):
     amps = np.linalg.matrix_power(u.entries, n) @ psi.amplitudes
     return PureState(u.dims, amps / np.linalg.norm(amps), FieldTag.COMPLEX)
@@ -48,20 +64,20 @@ def evolved_state(u, psi, n):
 
 def test_spectral_decompose_diagonal_case():
     u = diag_unitary([0.0, np.pi / 2], BipartiteDims(2, 1))
-    spec = spectral_decompose(u)
-    assert np.allclose(np.sort(spec.phases), [0.0, np.pi / 2], atol=1e-12)
+    block = block_of(u)
+    assert np.allclose(np.sort(block.phases[0]), [0.0, np.pi / 2], atol=1e-12)
     # eigenvectors of a diagonal matrix: standard basis up to order/phase
-    assert np.allclose(np.sort(np.abs(spec.vectors).ravel()), [0, 0, 1, 1], atol=1e-12)
+    assert np.allclose(np.sort(np.abs(block.vectors[0]).ravel()), [0, 0, 1, 1], atol=1e-12)
 
 
 def test_spectral_reconstruction_contract():
     for idx in range(5):
         u = cue(41, idx)
-        spec = spectral_decompose(u)
-        assert np.max(np.abs(matrix_power(spec, 1).entries - u.entries)) < 1e-10
-        g = spec.vectors @ spec.vectors.conj().T
-        assert np.max(np.abs(g - np.eye(u.dims.d))) < 1e-10
-        assert np.all(spec.phases >= 0.0) and np.all(spec.phases < 2 * np.pi)
+        block = block_of(u)
+        assert np.max(np.abs(matrix_power(block, 1)[0] - u.entries)) < 1e-10
+        z = block.vectors[0]
+        assert np.max(np.abs(z @ z.conj().T - np.eye(u.dims.d))) < 1e-10
+        assert np.all(block.phases >= 0.0) and np.all(block.phases < 2 * np.pi)
 
 
 def test_eigenphase_level_repulsion():
@@ -70,8 +86,7 @@ def test_eigenphase_level_repulsion():
     cutoff = 0.1 * (2 * np.pi / d)
     small = 0
     for idx in range(samples):
-        spec = spectral_decompose(sample_cue(d, RandomStream(59, idx)))
-        s = np.sort(spec.phases)
+        s = np.sort(block_of(sample_cue(d, RandomStream(59, idx))).phases[0])
         gaps = np.append(np.diff(s), s[0] + 2 * np.pi - s[-1])
         small += int(np.sum(gaps < cutoff))
     frac = small / (samples * d)
@@ -81,32 +96,31 @@ def test_eigenphase_level_repulsion():
 
 def test_matrix_power_trivial_cases():
     u = cue(7)
-    spec = spectral_decompose(u)
-    assert np.max(np.abs(matrix_power(spec, 0).entries - np.eye(20))) < 1e-10
-    assert np.max(np.abs(matrix_power(spec, 1).entries - u.entries)) < 1e-10
+    block = block_of(u)
+    assert matrix_power(block, 0).shape == (1, 20, 20)
+    assert np.max(np.abs(matrix_power(block, 0)[0] - np.eye(20))) < 1e-10
+    assert np.max(np.abs(matrix_power(block, 1)[0] - u.entries)) < 1e-10
     with pytest.raises(ValueError):
-        matrix_power(spec, -1)
+        matrix_power(block, -1)
 
 
 def test_matrix_power_matches_direct_multiplication():
     u = cue(11)
-    spec = spectral_decompose(u)
     direct = np.linalg.matrix_power(u.entries, 7)
-    assert np.max(np.abs(matrix_power(spec, 7).entries - direct)) < 1e-8
+    assert np.max(np.abs(matrix_power(block_of(u), 7)[0] - direct)) < 1e-8
 
 
 @given(st.integers(0, 2**32), st.integers(0, 20), st.integers(0, 20))
 def test_matrix_power_additivity(seed, m, n):
     u = sample_cue(6, RandomStream(seed, 0), BipartiteDims(2, 3))
-    spec = spectral_decompose(u)
-    lhs = matrix_power(spec, m + n).entries
-    rhs = matrix_power(spec, m).entries @ matrix_power(spec, n).entries
+    block = block_of(u)
+    lhs = matrix_power(block, m + n)[0]
+    rhs = matrix_power(block, m)[0] @ matrix_power(block, n)[0]
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 def test_matrix_power_unitary_at_long_times():
-    spec = spectral_decompose(cue(13))
-    u200 = matrix_power(spec, 200)
+    u200 = UnitaryMatrix(DIMS45, matrix_power(block_of(cue(13)), 200)[0], EnsembleTag.FIXED)
     assert u200.unitarity_defect() < 1e-9
 
 
@@ -118,33 +132,31 @@ def test_entropy_series_swap_keeps_product_states():
             m[b * 2 + a, a * 2 + b] = 1.0
     swap = UnitaryMatrix(dims, m, EnsembleTag.FIXED)
     psi = PureState(dims, np.array([0.0, 1.0, 0.0, 0.0]), FieldTag.REAL)  # |0>_A |1>_B
-    series = entropy_series(swap, psi, 6)
-    assert np.max(np.abs(series.values)) < 1e-12
+    assert np.max(np.abs(entropy_curve(swap, psi, 6))) < 1e-12
 
 
 def test_entropy_series_diagonal_map_never_entangles():
     phases = RandomStream(3, 0).generator().uniform(0, 2 * np.pi, 20)
     u = diag_unitary(phases, DIMS45)
-    series = entropy_series(u, basis_product_state(DIMS45), 10)
-    assert np.max(np.abs(series.values)) < 1e-12
+    assert np.max(np.abs(entropy_curve(u, basis_product_state(DIMS45), 10))) < 1e-12
 
 
 def test_entropy_series_matches_direct_powers():
     u = cue(17)
     psi = basis_product_state(DIMS45)
-    series = entropy_series(u, psi, 10)
+    curve = entropy_curve(u, psi, 10)
     for n in (1, 2, 5, 10):
-        direct = linear_entropy(evolved_state(u, psi, n))
-        assert abs(series.values[n - 1] - direct) < 1e-10
+        direct = state_entropy(evolved_state(u, psi, n))
+        assert abs(curve[n - 1] - direct) < 1e-10
 
 
 @given(st.integers(0, 2**32))
 def test_entropy_series_bounded(seed):
     u = sample_cue(6, RandomStream(seed, 0), BipartiteDims(2, 3))
     psi = basis_product_state(BipartiteDims(2, 3))
-    series = entropy_series(u, psi, 12)
-    assert np.all(series.values > -1e-12)
-    assert np.all(series.values < 1.0 - 1.0 / 2 + 1e-12)
+    curve = entropy_curve(u, psi, 12)
+    assert np.all(curve > -1e-12)
+    assert np.all(curve < 1.0 - 1.0 / 2 + 1e-12)
 
 
 def test_operator_entanglement_series_matches_direct_powers():
@@ -154,11 +166,11 @@ def test_operator_entanglement_series_matches_direct_powers():
         dims = BipartiteDims(d_a, d_b)
         u = cue(19, dims=dims)
         for n_max in (1, 8):
-            series = operator_entanglement_series(u, n_max)
-            assert series.values.shape == (n_max,)
+            curve = operator_curves(block_of(u), n_max)[0]
+            assert curve.shape == (n_max,)
             for n in range(1, n_max + 1):
                 un = UnitaryMatrix(dims, np.linalg.matrix_power(u.entries, n), EnsembleTag.FIXED)
-                assert abs(series.values[n - 1] - operator_entanglement_naive(un)) < 1e-10
+                assert abs(curve[n - 1] - operator_entanglement_naive(un)) < 1e-10
 
 
 def test_time_average_of_diagonal_map_is_zero():
@@ -178,7 +190,7 @@ def test_time_average_cauchy_convergence():
 def test_asymptotic_matches_time_average_oracle():
     u = cue(29)
     psi = basis_product_state(DIMS45)
-    spectral = asymptotic_entropy_spectral(u, psi)
+    spectral = asymptote(u, psi)
     direct = time_average_entropy(u, psi, 100_000)
     assert abs(spectral - direct) < 2e-3
 
@@ -188,7 +200,7 @@ def test_asymptotic_matches_time_average_with_larger_a_factor():
     dims = BipartiteDims(5, 4)
     u = cue(29, dims=dims)
     psi = basis_product_state(dims)
-    spectral = asymptotic_entropy_spectral(u, psi)
+    spectral = asymptote(u, psi)
     direct = time_average_entropy(u, psi, 100_000)
     # the direct average converges like 1/n_total: here within 1e-5
     assert abs(spectral - direct) < 1e-4
@@ -199,7 +211,7 @@ def test_asymptotic_matches_time_average_coe_random_real_state():
     u = sample_coe(20, stream, DIMS45)
     psi = product_state(random_state(4, FieldTag.REAL, stream),
                         random_state(5, FieldTag.REAL, stream))
-    spectral = asymptotic_entropy_spectral(u, psi)
+    spectral = asymptote(u, psi)
     direct = time_average_entropy(u, psi, 100_000)
     assert abs(spectral - direct) < 1e-4
 
@@ -207,7 +219,7 @@ def test_asymptotic_matches_time_average_coe_random_real_state():
 def test_asymptotic_of_diagonal_map_is_zero():
     phases = RandomStream(7, 0).generator().uniform(0, 2 * np.pi, 20)
     u = diag_unitary(phases, DIMS45)
-    assert abs(asymptotic_entropy_spectral(u, basis_product_state(DIMS45))) < 1e-12
+    assert abs(asymptote(u, basis_product_state(DIMS45))) < 1e-12
 
 
 def _swap(d):
@@ -234,7 +246,7 @@ def test_asymptotic_resonant_spectrum_matches_time_average(phases):
     u = haar_diagonal(phases, dims, 47)
     psi = random_state(4, FieldTag.COMPLEX, RandomStream(47, 1), dims=dims)
     # the direct average converges like 1/n_total: here within about 1e-5
-    assert abs(asymptotic_entropy_spectral(u, psi) - time_average_entropy(u, psi, 100_000)) < 1e-4
+    assert abs(asymptote(u, psi) - time_average_entropy(u, psi, 100_000)) < 1e-4
 
 
 @pytest.mark.parametrize("entries", [np.eye(9), _swap(3)], ids=["identity", "swap"])
@@ -245,9 +257,9 @@ def test_asymptotic_exact_for_identity_and_swap(entries):
     dims = BipartiteDims(3, 3)
     u = UnitaryMatrix(dims, entries, EnsembleTag.FIXED)
     psi = random_state(9, FieldTag.COMPLEX, RandomStream(53, 0), dims=dims)
-    assert linear_entropy(psi) > 0.1  # entangled
-    assert abs(asymptotic_entropy_spectral(u, psi) - linear_entropy(psi)) < 1e-12
-    assert abs(asymptotic_entropy_spectral(u, psi) - time_average_entropy(u, psi, 1_000)) < 1e-12
+    assert state_entropy(psi) > 0.1  # entangled
+    assert abs(asymptote(u, psi) - state_entropy(psi)) < 1e-12
+    assert abs(asymptote(u, psi) - time_average_entropy(u, psi, 1_000)) < 1e-12
 
 
 @pytest.mark.parametrize("ns", [range(1, 41), range(20_001, 20_101)], ids=["curve", "time-average-chunk"])
@@ -267,18 +279,18 @@ def test_phase_powers_match_exp(ns):
 
 def test_form_factor_identity():
     u = UnitaryMatrix(DIMS45, np.eye(20), EnsembleTag.FIXED)
-    assert abs(form_factor_series(u, 3)[2] - 400.0) < 1e-9
+    assert abs(form_factors(block_of(u).phases, 3)[0, 2] - 400.0) < 1e-9
 
 
 def test_form_factor_matches_trace_of_powers():
     u = cue(37)
-    spec = spectral_decompose(u)
-    series = form_factor_series(u, 10)
+    block = block_of(u)
+    curve = form_factors(block.phases, 10)[0]
     for n in (1, 2, 7, 10):
-        t = np.trace(matrix_power(spec, n).entries)
-        assert abs(series[n - 1] - abs(t) ** 2) < 1e-8
+        t = np.trace(matrix_power(block, n)[0])
+        assert abs(curve[n - 1] - abs(t) ** 2) < 1e-8
         t_direct = np.trace(np.linalg.matrix_power(u.entries, n))
-        assert abs(series[n - 1] - abs(t_direct) ** 2) < 1e-8
+        assert abs(curve[n - 1] - abs(t_direct) ** 2) < 1e-8
 
 
 @pytest.mark.parametrize("entries", [
@@ -315,6 +327,16 @@ def test_decompose_block_matches_one_at_a_time():
         us = [sampler(20, RandomStream(43, i), DIMS45) for i in range(5)]
         block = decompose_block(np.stack([u.entries for u in us]), DIMS45, symmetric)
         for i, u in enumerate(us):
-            spec = spectral_decompose(u)
-            assert np.array_equal(block.phases[i], spec.phases)
-            assert np.array_equal(block.vectors[i], spec.vectors)
+            one = decompose_block(u.entries[None], DIMS45, symmetric)
+            assert np.array_equal(block.phases[i], one.phases[0])
+            assert np.array_equal(block.vectors[i], one.vectors[0])
+
+
+@pytest.mark.parametrize("curves", [
+    lambda block: entropy_curves(block, basis_product_state(DIMS45).amplitudes[None], 0),
+    lambda block: operator_curves(block, 0),
+    lambda block: form_factors(block.phases, 0),
+], ids=["entropy", "operator", "form-factor"])
+def test_curves_reject_n_max_below_one(curves):
+    with pytest.raises(ValueError, match="n_max"):
+        curves(block_of(cue(3)))

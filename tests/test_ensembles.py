@@ -18,7 +18,7 @@ from entpower.ensembles import (
     sample_coe,
     sample_cue,
 )
-from entpower.entanglement import linear_entropy
+from entpower.entanglement import purity_batch
 
 from oracles import stream_draw
 
@@ -41,6 +41,11 @@ def test_random_stream_reproducible():
 def test_random_stream_rejects_negative():
     with pytest.raises(ValueError):
         RandomStream(-1, 0)
+    # each word of the Philox key holds 64 bits
+    for make in (lambda: RandomStream(2**64, 0), lambda: RandomStream(0, 2**64),
+                 lambda: PhiloxStreams(2**64)):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_sample_cue_rejects_zero_dim():
@@ -157,7 +162,7 @@ def test_product_state_is_unentangled(d_a, d_b, seed):
     psi = product_state(random_state(d_a, FieldTag.COMPLEX, stream),
                         random_state(d_b, FieldTag.COMPLEX, stream))
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
-    assert linear_entropy(psi) < 1e-12
+    assert 1.0 - purity_batch(psi.amplitudes[:, None], d_a, d_b)[0] < 1e-12
 
 
 def test_product_state_composite_index_is_a_major():

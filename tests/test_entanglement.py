@@ -14,12 +14,8 @@ from entpower.ensembles import (
     random_state,
     sample_cue,
 )
-from entpower.entanglement import (
-    linear_entropy,
-    operator_entanglement,
-    reduced_density_a,
-    reduced_density_b,
-)
+from entpower.dynamics import decompose_block, operator_curves
+from entpower.entanglement import _b_major, purity_batch, reduced_density_batch
 
 from oracles import operator_entanglement_naive
 
@@ -32,6 +28,23 @@ def bell_state():
 def random_bipartite_state(d_a, d_b, seed):
     return random_state(d_a * d_b, FieldTag.COMPLEX, RandomStream(seed, 0),
                         BipartiteDims(d_a, d_b))
+
+
+def densities(psi):
+    """rho_A and rho_B of one state, each from the batched kernel on a batch of one."""
+    d_a, d_b = psi.dims.d_a, psi.dims.d_b
+    column = psi.amplitudes[:, None]
+    return (reduced_density_batch(column, d_a, d_b)[0],
+            reduced_density_batch(_b_major(column, d_a, d_b), d_b, d_a)[0])
+
+
+def state_entropy(psi):
+    return 1.0 - purity_batch(psi.amplitudes[:, None], psi.dims.d_a, psi.dims.d_b)[0]
+
+
+def operator_entanglements(entries, dims):
+    """Operator entanglement of each unitary of a (k, d, d) stack: its curve at n = 1."""
+    return operator_curves(decompose_block(entries, dims), 1)[:, 0]
 
 
 def swap_unitary():
@@ -47,47 +60,47 @@ def test_reduced_density_of_product_state():
     stream = RandomStream(3, 0)
     psi = product_state(random_state(3, FieldTag.COMPLEX, stream),
                         random_state(4, FieldTag.COMPLEX, stream))
-    rho = reduced_density_a(psi)
-    assert rho.dim == 3
-    assert abs(rho.purity() - 1.0) < 1e-12
+    rho_a, _ = densities(psi)
+    assert rho_a.shape == (3, 3)
+    assert abs(np.sum(np.abs(rho_a) ** 2) - 1.0) < 1e-12
 
 
 def test_reduced_density_of_bell_state():
-    rho = reduced_density_a(bell_state())
-    assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-14)
+    rho_a, _ = densities(bell_state())
+    assert np.allclose(rho_a, np.eye(2) / 2, atol=1e-14)
 
 
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32))
 def test_reduced_density_contract(d_a, d_b, seed):
     psi = random_bipartite_state(d_a, d_b, seed)
-    for rho in (reduced_density_a(psi), reduced_density_b(psi)):
-        assert abs(np.trace(rho.entries) - 1.0) < 1e-12
-        assert np.max(np.abs(rho.entries - rho.entries.conj().T)) < 1e-12
-        assert np.min(np.linalg.eigvalsh(rho.entries)) > -1e-12
+    for rho, dim in zip(densities(psi), (d_a, d_b)):
+        assert rho.shape == (dim, dim)
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
 
 
 def test_linear_entropy_of_bell_state():
-    assert abs(linear_entropy(bell_state()) - 0.5) < 1e-14
+    assert abs(state_entropy(bell_state()) - 0.5) < 1e-14
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32))
 def test_linear_entropy_bounds_and_ab_symmetry(d_a, d_b, seed):
     psi = random_bipartite_state(d_a, d_b, seed)
-    s = linear_entropy(psi)
+    s = state_entropy(psi)
     assert -1e-12 <= s <= 1.0 - 1.0 / min(d_a, d_b) + 1e-12
-    s_b = 1.0 - reduced_density_b(psi).purity()
+    s_b = 1.0 - np.sum(np.abs(densities(psi)[1]) ** 2)
     assert abs(s - s_b) < 1e-10
 
 
 def test_operator_entanglement_identity():
     dims = BipartiteDims(3, 4)
-    u = UnitaryMatrix(dims, np.eye(12), EnsembleTag.FIXED)
-    assert abs(operator_entanglement(u)) < 1e-12
+    assert abs(operator_entanglements(np.eye(12)[None], dims)[0]) < 1e-12
 
 
 def test_operator_entanglement_swap():
     u = swap_unitary()
-    assert abs(operator_entanglement(u) - 0.75) < 1e-14
+    assert abs(operator_entanglements(u.entries[None], u.dims)[0] - 0.75) < 1e-14
     assert abs(operator_entanglement_naive(u) - 0.75) < 1e-14
 
 
@@ -99,9 +112,11 @@ def test_naive_dimension_guard():
 
 @pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 3), (3, 3), (2, 5), (3, 4), (2, 6)])
 def test_fast_path_matches_naive_sum(d_a, d_b):
-    for idx in range(10):
-        u = sample_cue(d_a * d_b, RandomStream(31, idx), BipartiteDims(d_a, d_b))
-        assert abs(operator_entanglement(u) - operator_entanglement_naive(u)) < 1e-10
+    dims = BipartiteDims(d_a, d_b)
+    us = [sample_cue(d_a * d_b, RandomStream(31, idx), dims) for idx in range(10)]
+    fast = operator_entanglements(np.stack([u.entries for u in us]), dims)
+    for u, value in zip(us, fast):
+        assert abs(value - operator_entanglement_naive(u)) < 1e-10
 
 
 @given(st.integers(0, 2**32))
@@ -114,5 +129,5 @@ def test_operator_entanglement_local_invariance(seed):
     wa = sample_cue(2, stream).entries
     wb = sample_cue(3, stream).entries
     dressed = np.kron(va, vb) @ u.entries @ np.kron(wa, wb)
-    u2 = UnitaryMatrix(dims, dressed, EnsembleTag.FIXED)
-    assert abs(operator_entanglement(u2) - operator_entanglement(u)) < 1e-10
+    plain, local = operator_entanglements(np.stack([u.entries, dressed]), dims)
+    assert abs(local - plain) < 1e-10
