@@ -8,10 +8,13 @@ diag(Z^dag U Z).  A symmetric (COE) U has real commuting parts Re U and
 Im U, and takes one real eigensolver call.  Every decomposition is
 checked by its reconstruction; the rare one that fails (two phases
 with cos(phi_a - theta) = cos(phi_b - theta), theta = atan c, share an
-eigenvalue of H + cK) is redone by the complex Schur form.  Powers act
-on the phases alone, which makes the whole trajectory n = 1..n_max one
-dense matrix product, and gives closed access to the n -> infinity
-time average of the linear entropy by matching pair sums of phases.
+eigenvalue of H + cK) is redone by a second eigh, of the Hermitian part
+of e^{-i theta} U with theta moved into the widest gap of the pair
+half-sums (phi_a + phi_b) / 2 mod pi, where no two distinct phases
+share an eigenvalue.  Powers act on the phases alone, which makes the
+whole trajectory n = 1..n_max one dense matrix product, and gives
+closed access to the n -> infinity time average of the linear entropy
+by matching pair sums of phases.
 
 Work runs on blocks: a :class:`SpectralBlock` holds the decompositions
 of a stack of unitaries, and the observables (entropy curves, operator
@@ -25,7 +28,9 @@ synthesise the Choi vectors vec(U^n) / sqrt(d) n-major, one row per n,
 as the weights e^{i n phi_k} / sqrt(d) times the Choi rows of the
 eigenprojectors |z_k><z_k|, so that their purities take BLAS.
 :func:`matrix_power` reconstructs one power of every unitary of a block,
-U^n = Z e^{i n phi} Z^dag.
+U^n = Z e^{i n phi} Z^dag.  The curves keep the power table, the orbits
+and the Choi rows and product in the calling thread's scratch arrays,
+reused from block to block, and return fresh arrays.
 """
 
 from __future__ import annotations
@@ -33,10 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .ensembles import BipartiteDims
-from .entanglement import _b_major, purity_batch, reduced_density_batch
+from .entanglement import _b_major, _scratch, purity_batch, reduced_density_batch
 
 __all__ = [
     "SpectralBlock",
@@ -64,7 +68,7 @@ class SpectralBlock:
     phases (k, d) in [0, 2pi) and unitary vectors (k, d, d), one row
     per unitary: U vectors[i][:, j] = exp(i phases[i, j]) vectors[i][:, j].
     residuals (k,) holds each max |Z e^{i phi} Z^dag - U|, and redos
-    counts the unitaries the Schur form had to decompose.
+    counts the unitaries the first eigh left short and a second one decomposed.
     """
 
     dims: BipartiteDims
@@ -90,6 +94,42 @@ def _residuals(entries: np.ndarray, phases: np.ndarray, z: np.ndarray) -> np.nda
     return np.max(np.abs(_reconstruct(phases, z) - entries), axis=(-2, -1))
 
 
+def _eigenvectors(entries: np.ndarray, symmetric: bool, c: float, s: float) -> np.ndarray:
+    """Eigenvectors of the Hermitian part of (c - i s) U, for one unitary or a stack.
+
+    That part is c Re U + s Im U when U is symmetric, and takes the real
+    eigh.
+    """
+    if symmetric:
+        _, z = np.linalg.eigh(c * entries.real + s * entries.imag)
+        return z.astype(np.complex128)
+    m = ((c - 1j * s) / 2.0) * entries
+    _, z = np.linalg.eigh(m + m.conj().swapaxes(-1, -2))
+    return z
+
+
+def _diagonal_phases(entries: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The phases of diag(Z^dag U Z), for one unitary or a stack."""
+    return _phases(np.sum(z.conj() * (entries @ z), axis=-2))
+
+
+def _separating_angle(entries: np.ndarray) -> float:
+    """theta mid-way in the widest gap of the pair half-sums (phi_a + phi_c) / 2 mod pi, a < c.
+
+    Two distinct phases give the Hermitian part of e^{-i theta} U, with
+    eigenvalues cos(phi - theta), one eigenvalue only when theta is
+    their half-sum mod pi.
+    """
+    phases = np.angle(np.linalg.eigvals(entries))
+    iu, ju = np.triu_indices(len(phases), 1)
+    s = np.sort(np.mod((phases[iu] + phases[ju]) / 2.0, np.pi))
+    if not len(s):  # one phase: nothing to separate
+        return 0.0
+    gaps = np.diff(s, append=s[0] + np.pi)
+    j = np.argmax(gaps)
+    return s[j] + gaps[j] / 2.0
+
+
 def decompose_block(entries: np.ndarray, dims: BipartiteDims, symmetric: bool = False) -> SpectralBlock:
     """Diagonalize a stack of unitaries, shape (k, d, d), with unitary eigenvectors.
 
@@ -97,22 +137,22 @@ def decompose_block(entries: np.ndarray, dims: BipartiteDims, symmetric: bool = 
     eigh(Re U + c Im U) when every U is symmetric.  The phases come
     from diag(Z^dag U Z), never from the eigenvalues of H + cK, which
     are two-to-one.  A unitary whose reconstruction misses it by more
-    than 1e-10 is decomposed again by the complex Schur form (its
-    triangular factor is diagonal up to roundoff for normal input);
-    LinAlgError if that misses too.
+    than 1e-10 (two phases with phi_a + phi_b = 2 atan c mod 2pi share
+    an eigenvalue, and eigh mixes their vectors) is decomposed again
+    alone by the same eigh of the Hermitian part of e^{-i theta} U, or
+    of cos theta Re U + sin theta Im U: theta lies mid-way in the widest
+    gap of its pair half-sums (phi_a + phi_b) / 2 mod pi, taken from
+    the eigenvalues of U, so that no two distinct phases share an
+    eigenvalue there.  LinAlgError if that misses too.
     """
-    if symmetric:
-        _, z = np.linalg.eigh(entries.real + _EIGH_MIX * entries.imag)
-        z = z.astype(np.complex128)
-    else:
-        m = ((1.0 - 1j * _EIGH_MIX) / 2.0) * entries
-        _, z = np.linalg.eigh(m + m.conj().swapaxes(-1, -2))
-    phases = _phases(np.sum(z.conj() * (entries @ z), axis=-2))
+    z = _eigenvectors(entries, symmetric, 1.0, _EIGH_MIX)
+    phases = _diagonal_phases(entries, z)
     residuals = _residuals(entries, phases, z)
     redo = np.flatnonzero(residuals > _RESIDUAL_TOL)
     for i in redo:
-        t, z[i] = scipy.linalg.schur(entries[i], output="complex", check_finite=False)
-        phases[i] = _phases(np.diagonal(t))
+        theta = _separating_angle(entries[i])
+        z[i] = _eigenvectors(entries[i], symmetric, np.cos(theta), np.sin(theta))
+        phases[i] = _diagonal_phases(entries[i], z[i])
         residuals[i] = _residuals(entries[i], phases[i], z[i])
         if residuals[i] > _RESIDUAL_TOL:
             raise np.linalg.LinAlgError(
@@ -128,9 +168,10 @@ def _phase_powers(phases: np.ndarray, ns: range) -> np.ndarray:
     Over n = 1..40 this stays within about 3e-15 of the exact powers,
     where exp(i n phi) is about 1.4e-14 off, since n phi is rounded
     before the exp.  The products add error with the length of ns; the
-    first power carries the rounding of n phi at the first n.
+    first power carries the rounding of n phi at the first n.  The table
+    is the calling thread's scratch array: it holds until the next call.
     """
-    powers = np.empty((len(ns),) + phases.shape, dtype=np.complex128)
+    powers = _scratch("powers", (len(ns),) + phases.shape)
     powers[0] = np.exp(1j * ns.start * phases)
     powers[1:] = np.exp(1j * phases)
     # accumulated over the leading axis, each step multiplies a whole slab
@@ -158,8 +199,11 @@ def _coefficients(block: SpectralBlock, states: np.ndarray) -> np.ndarray:
 
 def _entropies(block: SpectralBlock, coeffs: np.ndarray, ns: range) -> np.ndarray:
     """S_L(U^n psi) per unitary for each n in ns, shape (k, len(ns))."""
-    # the orbit columns sum_k z_k <z_k|psi> e^{i n phi_k}, one stacked product over the block
-    orbits = block.vectors @ (_phase_powers(block.phases, ns) * coeffs[..., None])
+    # the orbit columns sum_k z_k <z_k|psi> e^{i n phi_k}, one stacked product over the block;
+    # the weights overwrite the power table, and the orbits go to scratch as well
+    weights = _phase_powers(block.phases, ns)
+    np.multiply(weights, coeffs[..., None], out=weights)
+    orbits = np.matmul(block.vectors, weights, out=_scratch("orbits", weights.shape))
     return 1.0 - purity_batch(orbits, block.dims.d_a, block.dims.d_b)
 
 
@@ -190,7 +234,7 @@ def operator_curves(block: SpectralBlock, n_max: int) -> np.ndarray:
     the purity is a contiguous block.  Memory stays
     O(d^3 + d^2 n_max) per unitary, d projector rows and n_max Choi
     rows of length d^2: the unitaries of a block are taken one at a
-    time.
+    time, through the calling thread's scratch arrays.
 
     Only ``run_experiment`` holds OpenBLAS at one thread.  Called
     directly, the Choi product can wake a second BLAS thread for a loss:
@@ -201,11 +245,18 @@ def operator_curves(block: SpectralBlock, n_max: int) -> np.ndarray:
     d_a, d_b, d = block.dims.d_a, block.dims.d_b, block.dims.d
     ns = range(1, n_max + 1)
     curves = np.empty((len(block.phases), n_max))
+    # the outer products are written fastest with j innermost, the order z.T
+    # keeps in memory (a third faster than C order at 4x5), and the Choi
+    # product reads them in place as the F-ordered (d, d^2) matrix of rows
+    outer = _scratch("choi_rows", (d_a, d_a, d_b, d_b, d))
+    products = outer.transpose(4, 0, 1, 2, 3)
+    rows = outer.reshape(d * d, d).T
+    choi = _scratch("choi", (n_max, d * d))
     for i, (phases, z) in enumerate(zip(block.phases, block.vectors)):
         # row j is z_j[a1 b1] conj(z_j[a2 b2]) at (a1 a2 | b1 b2)
-        rows = z.T.reshape(d, d_a, 1, d_b, 1) * z.T.conj().reshape(d, 1, d_a, 1, d_b)
+        np.multiply(z.T.reshape(d, d_a, 1, d_b, 1), z.T.conj().reshape(d, 1, d_a, 1, d_b), out=products)
         weights = _phase_powers(phases, ns).T * d ** -0.5
-        choi = weights @ rows.reshape(d, d * d)
+        np.matmul(weights, rows, out=choi)
         curves[i] = 1.0 - purity_batch(choi.T, d_a * d_a, d_b * d_b)
     return curves
 

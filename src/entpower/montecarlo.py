@@ -348,9 +348,10 @@ def _merge_chunks(parts):
 def _openblas() -> tuple:
     """(file name, get, set) of the thread count of every OpenBLAS library loaded, found once.
 
-    The libraries are the ones mapped into the process, which includes
-    those numpy and scipy load at import; () where none is found or the
-    process map cannot be read.
+    The libraries are the ones mapped into the process at the first
+    call: numpy's, and scipy's only if the caller has imported
+    scipy.linalg by then; () where none is found or the process map
+    cannot be read.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -431,15 +432,16 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
     EP_CURVE / OPENT_CURVE produce one row per n = 1..n_max;
     FORM_FACTOR / FOURTH_MOMENT likewise for |t_n|^2 / |t_n|^4;
     ASYMPTOTIC produces a single row with the n = -1 sentinel.  The
-    metadata's "numerics" reports Schur redos, the worst reconstruction
-    residual, the smallest eigenphase gap and the samples whose pair
-    sums resonate (ASYMPTOTIC only, else 0); "timings" the seconds
-    spent in each stage, summed over all blocks, chunks and worker
-    threads, so that with parallelism > 1 they can add up to more than
-    "wall_seconds".  "env" records the Python, numpy and scipy
-    versions, the CPU count, the parallelism and any BLAS thread
-    variables set, and "blas_threads" each OpenBLAS library's thread
-    count before the run and during it ({} where none is found).
+    metadata's "numerics" reports decomposition redos, the worst
+    reconstruction residual, the smallest eigenphase gap and the
+    samples whose pair sums resonate (ASYMPTOTIC only, else 0);
+    "timings" the seconds spent in each stage, summed over all blocks,
+    chunks and worker threads, so that with parallelism > 1 they can
+    add up to more than "wall_seconds".  "env" records the Python,
+    numpy and scipy versions, the CPU count, the parallelism and any
+    BLAS thread variables set, and "blas_threads" each OpenBLAS
+    library's thread count before the run and during it ({} where none
+    is found).
 
     Chunks run on a pool of `parallelism` threads: a block's work is
     large numpy/LAPACK calls that release the GIL.  OpenBLAS runs on one

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -32,6 +34,8 @@ def _config(kind, ensemble, state, n_max, seed):
 
 # The desk-scale (1e5 sample) reference runs by fixture name; each is
 # computed once per session and shared by every criterion that reads it.
+# They run on every core: rows are bit-identical at any parallelism.
+FIXTURE_PARALLELISM = os.cpu_count() or 1
 FIXTURE_CONFIGS = {
     "cue_ep_run": _config(ExperimentKind.EP_CURVE, EnsembleTag.CUE, StateMode.FIXED_PRODUCT, 40, 101),
     "coe_ep_run": _config(ExperimentKind.EP_CURVE, EnsembleTag.COE, StateMode.FIXED_PRODUCT, 40, 102),
@@ -49,42 +53,42 @@ FIXTURE_CONFIGS = {
 
 @pytest.fixture(scope="session")
 def cue_ep_run():
-    return run_experiment(FIXTURE_CONFIGS["cue_ep_run"])
+    return run_experiment(FIXTURE_CONFIGS["cue_ep_run"], FIXTURE_PARALLELISM)
 
 
 @pytest.fixture(scope="session")
 def coe_ep_run():
-    return run_experiment(FIXTURE_CONFIGS["coe_ep_run"])
+    return run_experiment(FIXTURE_CONFIGS["coe_ep_run"], FIXTURE_PARALLELISM)
 
 
 @pytest.fixture(scope="session")
 def cue_opent_run():
-    return run_experiment(FIXTURE_CONFIGS["cue_opent_run"])
+    return run_experiment(FIXTURE_CONFIGS["cue_opent_run"], FIXTURE_PARALLELISM)
 
 
 @pytest.fixture(scope="session")
 def coe_opent_run():
-    return run_experiment(FIXTURE_CONFIGS["coe_opent_run"])
+    return run_experiment(FIXTURE_CONFIGS["coe_opent_run"], FIXTURE_PARALLELISM)
 
 
 @pytest.fixture(scope="session")
 def form_factor_run():
-    return run_experiment(FIXTURE_CONFIGS["form_factor_run"])
+    return run_experiment(FIXTURE_CONFIGS["form_factor_run"], FIXTURE_PARALLELISM)
 
 
 @pytest.fixture(scope="session")
 def fourth_moment_run():
-    return run_experiment(FIXTURE_CONFIGS["fourth_moment_run"])
+    return run_experiment(FIXTURE_CONFIGS["fourth_moment_run"], FIXTURE_PARALLELISM)
 
 
 @pytest.fixture(scope="session")
 def asymptotic_real_run():
-    return run_experiment(FIXTURE_CONFIGS["asymptotic_real_run"])
+    return run_experiment(FIXTURE_CONFIGS["asymptotic_real_run"], FIXTURE_PARALLELISM)
 
 
 @pytest.fixture(scope="session")
 def asymptotic_complex_run():
-    return run_experiment(FIXTURE_CONFIGS["asymptotic_complex_run"])
+    return run_experiment(FIXTURE_CONFIGS["asymptotic_complex_run"], FIXTURE_PARALLELISM)
 
 
 def curve_stats(table):

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import entpower
 from entpower import dynamics
 from entpower.dynamics import (
     asymptotic_entropies,
@@ -25,7 +33,7 @@ from entpower.ensembles import (
     sample_coe,
     sample_cue,
 )
-from entpower.entanglement import purity_batch
+from entpower.entanglement import purity_batch, reduced_density_batch
 
 from oracles import operator_entanglement_naive, time_average_entropy
 
@@ -309,17 +317,61 @@ def test_decompose_special_unitaries(entries, symmetric):
                                                                 2 * np.pi)), atol=1e-12)
 
 
-def test_decompose_redoes_a_shared_eigenvalue_by_schur():
-    # phi_1,2 = theta +- 0.7 with theta = atan(c) give H + cK one
-    # eigenvalue for two eigenvectors of U, which eigh then mixes
+def resonant_unitaries(symmetric):
+    """A stack of two unitaries on 2x2 whose first shares an eigenvalue of the first eigh.
+
+    phi_1,2 = theta +- 0.7 with theta = atan(c) give H + cK (Re U + c Im U
+    for the COE form O diag(e^{i phi}) O^T, O real orthogonal) one
+    eigenvalue for two eigenvectors of U, which eigh then mixes.  The
+    second unitary is a plain draw of the same form.  Returns the stack
+    and the first one's phases.
+    """
     theta = np.arctan(dynamics._EIGH_MIX)
     phases = np.array([theta + 0.7, theta - 0.7, 2.0, 4.0])
-    z = cue(3, dims=BipartiteDims(2, 2)).entries
+    if symmetric:
+        z = np.linalg.qr(RandomStream(3, 0).generator().standard_normal((4, 4)))[0]
+        other = sample_coe(4, RandomStream(3, 1), BipartiteDims(2, 2)).entries
+    else:
+        z = cue(3, dims=BipartiteDims(2, 2)).entries
+        other = z
     u = (z * np.exp(1j * phases)) @ z.conj().T
-    block = decompose_block(np.stack([u, z]), BipartiteDims(2, 2))
+    return np.stack([u, other]), phases
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["complex", "real"])
+def test_decompose_redoes_a_shared_eigenvalue(symmetric):
+    entries, phases = resonant_unitaries(symmetric)
+    block = decompose_block(entries, BipartiteDims(2, 2), symmetric)
     assert block.redos == 1
     assert np.all(block.residuals < 1e-10)
     assert np.allclose(np.sort(block.phases[0]), np.sort(np.mod(phases, 2 * np.pi)), atol=1e-10)
+
+
+def test_run_path_never_imports_scipy_linalg(tmp_path):
+    # the CLI, a run and a redo, in a fresh process: scipy.linalg and its
+    # OpenBLAS stay out of it
+    entries, _ = resonant_unitaries(False)
+    np.save(tmp_path / "resonant.npy", entries)
+    script = tmp_path / "run_path.py"
+    script.write_text(textwrap.dedent("""\
+        import sys
+        import numpy as np
+        import entpower
+        import entpower.cli
+        from entpower.dynamics import decompose_block
+        from entpower.ensembles import BipartiteDims
+        argv = ["ep-curve", "--da", "2", "--db", "3", "--nmax", "4", "--samples", "40",
+                "--out", "curve.csv"]
+        assert entpower.cli.main(argv) == 0
+        assert decompose_block(np.load("resonant.npy"), BipartiteDims(2, 2)).redos == 1
+        assert "scipy.linalg" not in sys.modules
+        """))
+    src = str(Path(entpower.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_decompose_block_matches_one_at_a_time():
@@ -340,3 +392,48 @@ def test_decompose_block_matches_one_at_a_time():
 def test_curves_reject_n_max_below_one(curves):
     with pytest.raises(ValueError, match="n_max"):
         curves(block_of(cue(3)))
+
+
+def kernel_results(seed):
+    """Each block kernel's results on one block of three CUE draws and random states."""
+    block = decompose_block(np.stack([cue(seed, i).entries for i in range(3)]), DIMS45)
+    states = np.stack([random_state(20, FieldTag.COMPLEX, RandomStream(seed, 10 + i), dims=DIMS45)
+                       .amplitudes for i in range(3)])
+    return [entropy_curves(block, states, 6), operator_curves(block, 6),
+            purity_batch(states.T, 4, 5), reduced_density_batch(states.T, 4, 5),
+            *asymptotic_entropies(block, states)]
+
+
+def test_kernel_results_never_share_scratch_memory():
+    # the kernels reuse per-thread scratch arrays: no result may be one,
+    # and a call on another block leaves the last call's results alone
+    first = kernel_results(1)
+    kept = [r.copy() for r in first]
+    second = kernel_results(2)
+    for a, b, before in zip(first, second, kept):
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, before)
+    # two threads at once compute what one thread does
+    results, errors = {}, []
+
+    def run(name):
+        try:
+            results[name] = [kernel_results(seed) for seed in (1, 2) * 5]
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=run, args=(name,)) for name in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
+    for runs in results.values():
+        for got, want in zip(runs, [first, second] * 5):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -181,7 +181,7 @@ def test_metadata_stage_timings_cover_wall_time():
 
 
 def test_metadata_numerics_merge_over_blocks_and_chunks(monkeypatch):
-    # pretend every block needed one Schur redo: 600 samples in chunks of
+    # pretend every block needed one decomposition redo: 600 samples in chunks of
     # 37 make 16 chunks of 3 blocks (16 + 16 + 5) and one 8-sample chunk
     real = montecarlo.decompose_block
 
