@@ -5,13 +5,16 @@ Hermitian and anti-Hermitian parts H = (U + U^dag)/2 and
 K = (U - U^dag)/2i commute, so one Hermitian eigensolver call on
 H + cK (c a fixed irrational) yields Z, and the phases are read off
 diag(Z^dag U Z).  A symmetric (COE) U has real commuting parts Re U and
-Im U, and takes one real eigensolver call.  Every decomposition is
-checked by its reconstruction; the rare one that fails (two phases
-with cos(phi_a - theta) = cos(phi_b - theta), theta = atan c, share an
-eigenvalue of H + cK) is redone by a second eigh, of the Hermitian part
-of e^{-i theta} U with theta moved into the widest gap of the pair
-half-sums (phi_a + phi_b) / 2 mod pi, where no two distinct phases
-share an eigenvalue.  Powers act on the phases alone, which makes the
+Im U, and takes one real eigensolver call, whose eigenvectors stay
+real: U = O diag(e^{i phi}) O^T with O real orthogonal (float64), so
+that the phase and reconstruction products, and the asymptote's
+reduced densities and Gram matrices, run in real arithmetic.  Every
+decomposition is checked by its reconstruction; the rare one that
+fails (two phases with cos(phi_a - theta) = cos(phi_b - theta),
+theta = atan c, share an eigenvalue of H + cK) is redone by a second
+eigh, of the Hermitian part of e^{-i theta} U with theta moved into
+the widest gap of the pair half-sums (phi_a + phi_b) / 2 mod pi, where
+no two distinct phases share an eigenvalue.  Powers act on the phases alone, which makes the
 whole trajectory n = 1..n_max one dense matrix product, and gives
 closed access to the n -> infinity time average of the linear entropy
 by matching pair sums of phases.
@@ -35,6 +38,7 @@ reused from block to block, and return fresh arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +71,9 @@ class SpectralBlock:
 
     phases (k, d) in [0, 2pi) and unitary vectors (k, d, d), one row
     per unitary: U vectors[i][:, j] = exp(i phases[i, j]) vectors[i][:, j].
+    vectors is complex128 for a general U and real orthogonal float64 O
+    for a symmetric one (decompose_block with symmetric=True), where
+    U = O diag(e^{i phi}) O^T.
     residuals (k,) holds each max |Z e^{i phi} Z^dag - U|, and redos
     counts the unitaries the first eigh left short and a second one decomposed.
     """
@@ -86,7 +93,14 @@ def _phases(diagonal: np.ndarray) -> np.ndarray:
 
 
 def _reconstruct(phases: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Z diag(e^{i phi}) Z^dag, for one unitary or a stack."""
+    """Z diag(e^{i phi}) Z^dag, for one unitary or a stack.
+
+    A real Z (orthogonal O) takes one real product, O times the float64
+    view of e^{i phi} O^T.
+    """
+    if z.dtype == np.float64:
+        scaled = np.multiply(np.exp(1j * phases)[..., :, None], z.swapaxes(-1, -2), order="C")
+        return (z @ scaled.view(np.float64)).view(np.complex128)
     return (z * np.exp(1j * phases)[..., None, :]) @ z.conj().swapaxes(-1, -2)
 
 
@@ -98,19 +112,37 @@ def _eigenvectors(entries: np.ndarray, symmetric: bool, c: float, s: float) -> n
     """Eigenvectors of the Hermitian part of (c - i s) U, for one unitary or a stack.
 
     That part is c Re U + s Im U when U is symmetric, and takes the real
-    eigh.
+    eigh, whose eigenvectors stay real.
     """
     if symmetric:
         _, z = np.linalg.eigh(c * entries.real + s * entries.imag)
-        return z.astype(np.complex128)
+        return z
     m = ((c - 1j * s) / 2.0) * entries
     _, z = np.linalg.eigh(m + m.conj().swapaxes(-1, -2))
     return z
 
 
 def _diagonal_phases(entries: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The phases of diag(Z^dag U Z), for one unitary or a stack."""
+    """The phases of diag(Z^dag U Z), for one unitary or a stack.
+
+    A real Z (orthogonal O) of a symmetric U forms O^T U = (U O)^T as
+    one real product over the float64 view of U, and sums its transpose
+    times O as the complex route sums conj(Z) times U Z.
+    """
+    if z.dtype == np.float64:
+        entries = np.ascontiguousarray(entries, dtype=np.complex128)
+        left = (z.swapaxes(-1, -2) @ entries.view(np.float64)).view(np.complex128)
+        return _phases(np.sum(left.swapaxes(-1, -2) * z, axis=-2))
     return _phases(np.sum(z.conj() * (entries @ z), axis=-2))
+
+
+@functools.cache
+def _pairs(d: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(d, offset), read-only: the index pairs (a, c), c >= a + offset."""
+    pairs = np.triu_indices(d, offset)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _separating_angle(entries: np.ndarray) -> float:
@@ -121,7 +153,7 @@ def _separating_angle(entries: np.ndarray) -> float:
     their half-sum mod pi.
     """
     phases = np.angle(np.linalg.eigvals(entries))
-    iu, ju = np.triu_indices(len(phases), 1)
+    iu, ju = _pairs(len(phases), 1)
     s = np.sort(np.mod((phases[iu] + phases[ju]) / 2.0, np.pi))
     if not len(s):  # one phase: nothing to separate
         return 0.0
@@ -134,7 +166,8 @@ def decompose_block(entries: np.ndarray, dims: BipartiteDims, symmetric: bool = 
     """Diagonalize a stack of unitaries, shape (k, d, d), with unitary eigenvectors.
 
     One eigh call over the stack: eigh(H + cK) for general U, the real
-    eigh(Re U + c Im U) when every U is symmetric.  The phases come
+    eigh(Re U + c Im U) when every U is symmetric, whose real orthogonal
+    eigenvectors O the block keeps as float64.  The phases come
     from diag(Z^dag U Z), never from the eigenvalues of H + cK, which
     are two-to-one.  A unitary whose reconstruction misses it by more
     than 1e-10 (two phases with phi_a + phi_b = 2 atan c mod 2pi share
@@ -193,8 +226,13 @@ def matrix_power(block: SpectralBlock, n: int) -> np.ndarray:
 
 
 def _coefficients(block: SpectralBlock, states: np.ndarray) -> np.ndarray:
-    """<z_k|psi> per unitary of the block, states (k, d) -> (k, d)."""
-    return (block.vectors.conj().swapaxes(-1, -2) @ states[..., None])[..., 0]
+    """<z_k|psi> per unitary of the block, states (k, d) -> (k, d).
+
+    As psi^T conj(Z), which hands BLAS the same product for real and
+    complex Z: a real Z gives the coefficients of its complex copy bit
+    for bit.
+    """
+    return (states[..., None, :] @ block.vectors.conj())[..., 0, :]
 
 
 def _entropies(block: SpectralBlock, coeffs: np.ndarray, ns: range) -> np.ndarray:
@@ -277,7 +315,7 @@ def _pair_clusters(phases: np.ndarray) -> tuple[np.ndarray, list]:
     arrays.  A degenerate phase phi_a = phi_b joins the sums (a, c) and
     (b, c).
     """
-    iu, ju = np.triu_indices(phases.shape[-1])
+    iu, ju = _pairs(phases.shape[-1], 0)
     sums = np.mod(phases[:, iu] + phases[:, ju], _TWO_PI)
     s = np.sort(sums, axis=-1)
     # joined[:, j]: sorted sums j and j + 1 share a cluster, the last sum wrapping to the first
@@ -328,8 +366,10 @@ def asymptotic_entropies(block: SpectralBlock, states: np.ndarray) -> tuple[np.n
     p = np.abs(coeffs) ** 2
     rho_a = reduced_density_batch(z, d_a, d_b).reshape(k, d, -1)
     rho_b = reduced_density_batch(_b_major(z, d_a, d_b), d_b, d_a).reshape(k, d, -1)
-    t_a = (rho_a @ rho_a.conj().swapaxes(-1, -2)).real
-    t_b = (rho_b @ rho_b.conj().swapaxes(-1, -2)).real
+    # np.conjugate copies even a real array: numpy multiplies an array by
+    # its own transpose on a stacked syrk path, slower here than the gemm
+    t_a = (rho_a @ np.conjugate(rho_a).swapaxes(-1, -2)).real
+    t_b = (rho_b @ np.conjugate(rho_b).swapaxes(-1, -2)).real
     pair = (p[:, None, :] @ (t_a + t_b) @ p[:, :, None])[:, 0, 0]
     avg_purity = pair - np.sum(p * p * np.diagonal(t_a, axis1=-2, axis2=-1), axis=-1)
     resonant, clusters = _pair_clusters(block.phases)

@@ -18,6 +18,7 @@ import ctypes
 import functools
 import os
 import platform
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -344,15 +345,22 @@ def _merge_chunks(parts):
     return count, mean, m2, tally
 
 
-@functools.cache
 def _openblas() -> tuple:
-    """(file name, get, set) of the thread count of every OpenBLAS library loaded, found once.
+    """(file name, get, set) of the thread count of every OpenBLAS library loaded.
 
-    The libraries are the ones mapped into the process at the first
-    call: numpy's, and scipy's only if the caller has imported
-    scipy.linalg by then; () where none is found or the process map
-    cannot be read.
+    The libraries are the ones mapped into the process: numpy's, and
+    scipy's once the caller has imported scipy.linalg.  They are listed
+    again only when the number of imported modules has changed since
+    the last listing, which an import that maps a library changes, so
+    that runs do not read the process map each time.  () where none is
+    found or the process map cannot be read.
     """
+    return _openblas_listed(len(sys.modules))
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_listed(module_count: int) -> tuple:
+    """The libraries of :func:`_openblas`, listed with `module_count` modules imported."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh
@@ -387,33 +395,36 @@ class _BlasPin:
     Worker threads supply a run's parallelism; OpenBLAS threads on top
     of them spin between the many small calls and compete for the same
     cores.  The count is one per library and process, so concurrent runs
-    share the pin: the first one in saves the counts and pins, the last
-    one out restores them.  Entering gives each library's count before
-    the pin and the count in use, as {name: {"before": n, "run": 1}};
+    share the pin: the first one in saves the counts and pins, a run
+    entering later also pins any library loaded since, and the last one
+    out restores every count saved.  Entering gives each library's count
+    before the pin and the count in use, as {name: {"before": n, "run": 1}};
     with no OpenBLAS found the pin does nothing and gives {}.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._depth = 0
-        self._saved: dict[str, int] = {}
+        self._saved: dict[str, tuple] = {}  # name -> (count before the pin, set)
 
     def __enter__(self) -> dict[str, dict[str, int]]:
         with self._lock:
-            if self._depth == 0:
-                self._saved = _blas_threads()
-                for _, _, set_threads in _openblas():
+            libraries = _openblas()
+            for name, get, set_threads in libraries:
+                if name not in self._saved:
+                    self._saved[name] = (get(), set_threads)
                     set_threads(1)
             self._depth += 1
-            return {name: {"before": self._saved[name], "run": n}
-                    for name, n in _blas_threads().items()}
+            return {name: {"before": self._saved[name][0], "run": get()}
+                    for name, get, _ in libraries}
 
     def __exit__(self, *exc_info) -> None:
         with self._lock:
             self._depth -= 1
             if self._depth == 0:
-                for name, _, set_threads in _openblas():
-                    set_threads(self._saved[name])
+                for before, set_threads in self._saved.values():
+                    set_threads(before)
+                self._saved = {}
 
 
 _BLAS_PIN = _BlasPin()

@@ -24,12 +24,14 @@ from entpower.ensembles import (
     BipartiteDims,
     EnsembleTag,
     FieldTag,
+    PhiloxStreams,
     PureState,
     RandomStream,
     UnitaryMatrix,
     basis_product_state,
     product_state,
     random_state,
+    sample_block,
     sample_coe,
     sample_cue,
 )
@@ -343,8 +345,52 @@ def test_decompose_redoes_a_shared_eigenvalue(symmetric):
     entries, phases = resonant_unitaries(symmetric)
     block = decompose_block(entries, BipartiteDims(2, 2), symmetric)
     assert block.redos == 1
+    assert block.vectors.dtype == (np.float64 if symmetric else np.complex128)
     assert np.all(block.residuals < 1e-10)
     assert np.allclose(np.sort(block.phases[0]), np.sort(np.mod(phases, 2 * np.pi)), atol=1e-10)
+
+
+def coe_block(seed, count=4, dims=DIMS45):
+    """A block of COE draws and random real product states, through the run's sampler."""
+    u, states = sample_block(EnsembleTag.COE, dims, FieldTag.REAL, PhiloxStreams(seed), 0, count)
+    return decompose_block(u, dims, symmetric=True), u, states
+
+
+def test_symmetric_block_vectors_are_real_orthogonal():
+    for seed in range(3):
+        block, u, _ = coe_block(seed, count=16)
+        o = block.vectors
+        assert o.dtype == np.float64
+        assert np.max(np.abs(o.swapaxes(-1, -2) @ o - np.eye(20))) < 1e-12
+        assert np.max(np.abs(u @ o - o * np.exp(1j * block.phases)[:, None, :])) < 1e-10
+
+
+def test_kernels_take_a_real_block_as_its_complex_copy():
+    # the real route of every kernel against the complex one on the same phases
+    # and the same vectors cast to complex128
+    block, _, real_states = coe_block(7)
+    complex_copy = dynamics.SpectralBlock(block.dims, block.phases,
+                                          block.vectors.astype(np.complex128), block.residuals,
+                                          block.redos)
+    complex_states = np.stack([random_state(20, FieldTag.COMPLEX, RandomStream(7, i), dims=DIMS45)
+                               .amplitudes for i in range(4)])
+    for states in (real_states, complex_states):
+        for a, b in zip(asymptotic_entropies(block, states), asymptotic_entropies(complex_copy, states)):
+            assert np.array_equal(a, b)
+        assert np.max(np.abs(entropy_curves(block, states, 12)
+                             - entropy_curves(complex_copy, states, 12))) < 1e-14
+    assert np.max(np.abs(operator_curves(block, 6) - operator_curves(complex_copy, 6))) < 1e-14
+    assert np.max(np.abs(form_factors(block.phases, 6) - form_factors(complex_copy.phases, 6))) < 1e-14
+    for n in (0, 1, 7):
+        assert np.max(np.abs(matrix_power(block, n) - matrix_power(complex_copy, n))) < 1e-14
+
+
+def test_pair_indices_are_cached_read_only():
+    for d, offset in ((20, 0), (20, 1), (1, 1)):
+        pairs = dynamics._pairs(d, offset)
+        assert dynamics._pairs(d, offset) is pairs
+        assert all(np.array_equal(p, q) for p, q in zip(pairs, np.triu_indices(d, offset)))
+        assert not any(p.flags.writeable for p in pairs)
 
 
 def test_run_path_never_imports_scipy_linalg(tmp_path):

@@ -344,6 +344,44 @@ def test_concurrent_runs_share_one_blas_pin(monkeypatch, blas_two_threads):
     assert montecarlo._blas_threads() == blas_two_threads
 
 
+def test_blas_pin_finds_a_library_loaded_after_a_run(tmp_path):
+    # a fresh process: a run, then an import that maps scipy's OpenBLAS, then
+    # a second run, which must pin and report both libraries
+    script = tmp_path / "late_openblas.py"
+    script.write_text(textwrap.dedent("""\
+        import json
+        from entpower.ensembles import EnsembleTag
+        from entpower.montecarlo import ExperimentConfig, ExperimentKind, StateMode, run_experiment
+
+        def mapped():
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                return sorted({line.split()[-1] for line in fh
+                               if "openblas" in line and line.split()[-1].startswith("/")})
+
+        cfg = ExperimentConfig(ExperimentKind.EP_CURVE, EnsembleTag.CUE, StateMode.FIXED_PRODUCT,
+                               2, 2, 2, 32, 5)
+        first = run_experiment(cfg).metadata["env"]["blas_threads"]
+        before = mapped()
+        import scipy.linalg
+        second = run_experiment(cfg).metadata["env"]["blas_threads"]
+        print(json.dumps({"before": before, "after": mapped(), "first": first, "second": second}))
+        """))
+    src = str(Path(entpower.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    if done.returncode != 0 and "/proc/self/maps" in done.stderr:
+        pytest.skip("no process map to read")
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    if len(seen["after"]) == len(seen["before"]):
+        pytest.skip("importing scipy.linalg mapped no new OpenBLAS")
+    assert len(seen["first"]) == len(seen["before"])
+    assert sorted(seen["second"]) == sorted(os.path.basename(p) for p in seen["after"])
+    assert all(counts["run"] == 1 for counts in seen["second"].values())
+
+
 def test_parallel_run_needs_no_main_guard(tmp_path):
     # a plain script with no __main__ guard, as a library caller writes it
     script = tmp_path / "plain.py"
