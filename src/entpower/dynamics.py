@@ -14,10 +14,10 @@ fails (two phases with cos(phi_a - theta) = cos(phi_b - theta),
 theta = atan c, share an eigenvalue of H + cK) is redone by a second
 eigh, of the Hermitian part of e^{-i theta} U with theta moved into
 the widest gap of the pair half-sums (phi_a + phi_b) / 2 mod pi, where
-no two distinct phases share an eigenvalue.  Powers act on the phases alone, which makes the
-whole trajectory n = 1..n_max one dense matrix product, and gives
-closed access to the n -> infinity time average of the linear entropy
-by matching pair sums of phases.
+no two distinct phases share an eigenvalue.  Powers act on the phases
+alone, which makes the whole trajectory n = 1..n_max one dense matrix
+product, and gives closed access to the n -> infinity time average of
+the linear entropy by matching pair sums of phases.
 
 Work runs on blocks: a :class:`SpectralBlock` holds the decompositions
 of a stack of unitaries, and the observables (entropy curves, operator

@@ -375,12 +375,14 @@ def test_kernels_take_a_real_block_as_its_complex_copy():
     complex_states = np.stack([random_state(20, FieldTag.COMPLEX, RandomStream(7, i), dims=DIMS45)
                                .amplitudes for i in range(4)])
     for states in (real_states, complex_states):
-        for a, b in zip(asymptotic_entropies(block, states), asymptotic_entropies(complex_copy, states)):
+        for a, b in zip(asymptotic_entropies(block, states),
+                        asymptotic_entropies(complex_copy, states)):
             assert np.array_equal(a, b)
         assert np.max(np.abs(entropy_curves(block, states, 12)
                              - entropy_curves(complex_copy, states, 12))) < 1e-14
     assert np.max(np.abs(operator_curves(block, 6) - operator_curves(complex_copy, 6))) < 1e-14
-    assert np.max(np.abs(form_factors(block.phases, 6) - form_factors(complex_copy.phases, 6))) < 1e-14
+    assert np.max(np.abs(form_factors(block.phases, 6)
+                         - form_factors(complex_copy.phases, 6))) < 1e-14
     for n in (0, 1, 7):
         assert np.max(np.abs(matrix_power(block, n) - matrix_power(complex_copy, n))) < 1e-14
 

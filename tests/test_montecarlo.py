@@ -344,6 +344,26 @@ def test_concurrent_runs_share_one_blas_pin(monkeypatch, blas_two_threads):
     assert montecarlo._blas_threads() == blas_two_threads
 
 
+def test_blas_pin_saves_a_library_that_appears_inside_a_run(monkeypatch):
+    # a library mapped while a run holds the pin: a run entering then pins
+    # it too, and the last one out restores both counts
+    counts = {"a": 3, "b": 4}
+
+    def library(name):
+        return name, lambda: counts[name], lambda n: counts.__setitem__(name, n)
+
+    libraries = [library("a")]
+    monkeypatch.setattr(montecarlo, "_openblas", lambda: tuple(libraries))
+    pin = montecarlo._BlasPin()
+    with pin as outer:
+        assert outer == {"a": {"before": 3, "run": 1}}
+        libraries.append(library("b"))
+        with pin as inner:
+            assert inner == {"a": {"before": 3, "run": 1}, "b": {"before": 4, "run": 1}}
+        assert counts == {"a": 1, "b": 1}
+    assert counts == {"a": 3, "b": 4}
+
+
 def test_blas_pin_finds_a_library_loaded_after_a_run(tmp_path):
     # a fresh process: a run, then an import that maps scipy's OpenBLAS, then
     # a second run, which must pin and report both libraries
