@@ -34,14 +34,9 @@ from .ensembles import (
     BipartiteDims,
     EnsembleTag,
     FieldTag,
-    PureState,
-    RandomStream,
-    UnitaryMatrix,
+    PhiloxStreams,
     basis_product_state,
-    product_state,
-    random_state,
-    sample_coe,
-    sample_cue,
+    sample_block,
 )
 from .entanglement import purity_batch
 from .montecarlo import (
@@ -57,15 +52,10 @@ from .montecarlo import (
 
 __all__ = [
     "BipartiteDims",
-    "UnitaryMatrix",
-    "PureState",
-    "RandomStream",
     "EnsembleTag",
     "FieldTag",
-    "sample_cue",
-    "sample_coe",
-    "random_state",
-    "product_state",
+    "PhiloxStreams",
+    "sample_block",
     "basis_product_state",
     "purity_batch",
     "SpectralBlock",

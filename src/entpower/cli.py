@@ -10,7 +10,8 @@ flag names); defaults fill the rest.  --seed falls back to the
 RMT_SEED environment variable, then 0.  Exit codes: 0 pass, 1
 statistical gate failure, 2 usage or config error (dimensions too
 large for memory included), 3 I/O error, 4 a sample's decomposition
-failed (the error line names the master seed and sample index).
+failed (the error line names the master seed and sample index).  Each
+failure, argument parsing included, is one line on stderr.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ class CliInvocation:
     actions: dict
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError, which main reports on one line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The entpower parser and its subcommand parsers by name, built once per process.
@@ -79,7 +87,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     Every call returns the same parsers: parsing leaves them unchanged,
     and callers must not add to them.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entpower",
         description="Monte Carlo curves and closed-form checks for the "
                     "entangling power of iterated CUE/COE unitaries.")
@@ -151,7 +159,10 @@ def _config_value(key: str, value, action: argparse.Action):
     # JSON true/false arrive as bools, which Python counts as ints
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
-    value = kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"config key {key!r} is too large for {kind.__name__}") from None
     if action.choices is not None and value not in action.choices:
         choices = ", ".join(map(repr, action.choices))
         raise ConfigError(f"config key {key!r} must be one of {choices}, got {value!r}")
@@ -380,12 +391,9 @@ def _cmd_fit(opts: dict) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        inv = parse_invocation(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     opts = {}
     try:
+        inv = parse_invocation(sys.argv[1:] if argv is None else argv)
         opts = _merged_options(inv)
         if inv.subcommand == "table":
             return _cmd_table(opts)
@@ -394,6 +402,8 @@ def main(argv: list[str] | None = None) -> int:
         if inv.subcommand == "fit":
             return _cmd_fit(opts)
         return _cmd_experiment(inv, opts)
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 2
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -291,7 +291,7 @@ def _chunk_stats(cfg: ExperimentConfig, start: int, count: int):
     row.  Samples go through in blocks of BLOCK_SIZE, aligned to the
     chunk start: the block's unitaries and states are drawn through the
     chunk's one re-keyed Philox (the unitary first, then the A and B
-    factors of a random state, as on each sample's RandomStream), then
+    factors of a random state, as laid out on each sample's stream), then
     decomposed as one stack, observed together and folded into the
     Welford accumulators one sample at a time.  Stacked draws and
     decompositions treat each sample alone, so rows do not depend on
@@ -307,7 +307,7 @@ def _chunk_stats(cfg: ExperimentConfig, start: int, count: int):
     field_tag = _STATE_FIELDS.get(cfg.state_mode)
     fixed = None
     if cfg.state_mode is StateMode.FIXED_PRODUCT:
-        fixed = np.broadcast_to(basis_product_state(cfg.dims).amplitudes, (BLOCK_SIZE, cfg.dims.d))
+        fixed = np.broadcast_to(basis_product_state(cfg.dims), (BLOCK_SIZE, cfg.dims.d))
     # the set-up above counts as sampling, in the first block's lap
     for offset in range(0, count, BLOCK_SIZE):
         size = min(BLOCK_SIZE, count - offset)

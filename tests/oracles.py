@@ -1,8 +1,8 @@
 """Reference implementations the tests check the package against.
 
 Each one takes the slow, literal route on purpose and shares as little
-as it can with the code it checks: a sample drawn straight from its
-``RandomStream`` generator, the eightfold index sum of the operator
+as it can with the code it checks: a sample drawn piece by piece from
+its own Philox generator, the eightfold index sum of the operator
 entanglement, and the brute-force time average of the linear entropy.
 None of them is part of the package.
 """
@@ -10,53 +10,73 @@ None of them is part of the package.
 import numpy as np
 
 from entpower.dynamics import _coefficients, _entropies, decompose_block
-from entpower.ensembles import EnsembleTag, FieldTag, PureState, RandomStream, UnitaryMatrix
+from entpower.ensembles import EnsembleTag, FieldTag
 
 # the naive reference implementation loops over d^4 index tuples
 _NAIVE_DIM_LIMIT = 12
 _TIME_AVERAGE_CHUNK = 20_000
 
 
-def stream_draw(seed, index, d_a, d_b, ensemble, field_tag):
-    """Sample `index`'s unitary and random product state, straight from its RandomStream.
+def stream(seed, index):
+    """The generator of sample `index` under master seed `seed`: Philox keyed by (seed, index).
 
-    The stream's layout, one piece at a time: Ginibre real part, then
-    imaginary part, QR with the phase fix (and W W^T symmetrised for
-    COE), then the A and B factors of the state, real parts before
-    imaginary parts.  field_tag None draws no state and returns None.
+    Its normals are the sample's stream, which :func:`haar_unitary` and
+    :func:`unit_vector` read one piece at a time, so one stream can
+    serve several draws.
     """
-    rng = RandomStream(seed, index).generator()
-    d = d_a * d_b
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def haar_unitary(rng, d, ensemble=EnsembleTag.CUE):
+    """A d x d CUE (or COE) draw: Ginibre real part, then imaginary part, from `rng`.
+
+    QR with Mezzadri's phase fix (Notices AMS 54, 592 (2007)); COE takes
+    U = W W^T with W Haar, symmetrised as (P + P^T) / 2.
+    """
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     if ensemble is EnsembleTag.COE:
         p = u @ u.T
         u = (p + p.T) / 2.0
+    return u
+
+
+def unit_vector(rng, d, field_tag):
+    """A uniformly random unit vector of C^d or R^d from `rng`: real parts, then imaginary parts."""
+    v = rng.standard_normal(d).astype(np.complex128)
+    if field_tag is FieldTag.COMPLEX:
+        v = v + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def stream_draw(seed, index, d_a, d_b, ensemble, field_tag):
+    """Sample `index`'s unitary and random product state, straight from its stream.
+
+    The stream's layout, one piece at a time: the unitary, then the A
+    and B factors of the state.  field_tag None draws no state and
+    returns None.
+    """
+    rng = stream(seed, index)
+    u = haar_unitary(rng, d_a * d_b, ensemble)
     if field_tag is None:
         return u, None
-    factors = []
-    for dim in (d_a, d_b):
-        v = rng.standard_normal(dim).astype(np.complex128)
-        if field_tag is FieldTag.COMPLEX:
-            v = v + 1j * rng.standard_normal(dim)
-        factors.append(v / np.linalg.norm(v, axis=-1, keepdims=True))
-    return u, np.kron(*factors)
+    return u, np.kron(unit_vector(rng, d_a, field_tag), unit_vector(rng, d_b, field_tag))
 
 
-def operator_entanglement_naive(u: UnitaryMatrix) -> float:
+def operator_entanglement_naive(u, dims) -> float:
     """Reference implementation, literal eightfold index sum.
 
     Computes 1 - (1/d^2) sum U[a1b1,a2b2] U*[a1b1',a2b2'] U*[a1'b1,a2'b2]
-    U[a1'b1',a2'b2'] over all primed/unprimed index tuples, O(d^4) work
-    with no factorization.  Only for cross-checking the Choi synthesis
-    of :func:`~entpower.dynamics.operator_curves`; refuses d > 12.
+    U[a1'b1',a2'b2'] over all primed/unprimed index tuples of the (d, d)
+    unitary u on `dims`, O(d^4) work with no factorization.  Only for
+    cross-checking the Choi synthesis of
+    :func:`~entpower.dynamics.operator_curves`; refuses d > 12.
     """
-    dims = u.dims
     d_a, d_b, d = dims.d_a, dims.d_b, dims.d
     if d > _NAIVE_DIM_LIMIT:
         raise ValueError(f"naive operator entanglement is limited to d <= {_NAIVE_DIM_LIMIT}, got {d}")
-    u4 = u.entries.reshape(d_a, d_b, d_a, d_b)
+    u4 = np.asarray(u, dtype=np.complex128).reshape(d_a, d_b, d_a, d_b)
     s = np.einsum(
         "aBcD,abcd,eBgD,ebgd->",
         u4, u4.conj(), u4.conj(), u4,
@@ -64,8 +84,11 @@ def operator_entanglement_naive(u: UnitaryMatrix) -> float:
     return float(1.0 - s.real / (d * d))
 
 
-def time_average_entropy(u: UnitaryMatrix, psi: PureState, n_total: int = 100_000) -> float:
+def time_average_entropy(u, psi, dims, n_total: int = 100_000, symmetric: bool = False) -> float:
     """Brute-force mean of S_L(U^n psi) over n = 1..n_total; oracle only.
+
+    u is a (d, d) unitary and psi a (d,) state on `dims`; symmetric
+    decomposes a COE draw by the real route.
 
     Converges to the infinite-time average like 1/n_total (the partial
     sums of the oscillating terms stay bounded).  Tests check
@@ -79,10 +102,8 @@ def time_average_entropy(u: UnitaryMatrix, psi: PureState, n_total: int = 100_00
     """
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
-    if psi.dims != u.dims:
-        raise ValueError(f"state dims {psi.dims} do not match unitary dims {u.dims}")
-    block = decompose_block(u.entries[None], u.dims, symmetric=u.ensemble_tag is EnsembleTag.COE)
-    coeffs = _coefficients(block, psi.amplitudes[None])
+    block = decompose_block(np.asarray(u, dtype=np.complex128)[None], dims, symmetric=symmetric)
+    coeffs = _coefficients(block, np.asarray(psi, dtype=np.complex128)[None])
     total = 0.0
     for start in range(1, n_total + 1, _TIME_AVERAGE_CHUNK):
         ns = range(start, min(start + _TIME_AVERAGE_CHUNK, n_total + 1))

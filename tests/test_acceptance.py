@@ -16,14 +16,7 @@ import numpy as np
 from entpower.cli import table_to_csv
 from entpower.closedform import CaseTag, ep1, ep_inf, gap_leading, gate_form_factor_fit
 from entpower.dynamics import asymptotic_entropies, decompose_block, matrix_power, operator_curves
-from entpower.ensembles import (
-    BipartiteDims,
-    EnsembleTag,
-    FieldTag,
-    RandomStream,
-    random_state,
-    sample_cue,
-)
+from entpower.ensembles import BipartiteDims, EnsembleTag, FieldTag
 from entpower.montecarlo import (
     ExperimentConfig,
     ExperimentKind,
@@ -34,7 +27,13 @@ from entpower.montecarlo import (
 )
 
 from conftest import ACCEPTANCE_LINES, FIXTURE_CONFIGS, curve_stats
-from oracles import operator_entanglement_naive, time_average_entropy
+from oracles import (
+    haar_unitary,
+    operator_entanglement_naive,
+    stream,
+    time_average_entropy,
+    unit_vector,
+)
 
 DIMS = BipartiteDims(4, 5)
 
@@ -121,32 +120,33 @@ def test_criterion_06_form_factor_suite(form_factor_run, fourth_moment_run):
 
 def test_criterion_07_oracle_equivalences():
     # (i) the n = 1 operator curve, from the Choi synthesis, vs the eightfold index sum
-    stream = RandomStream(7001, 0)
+    # each part draws its unitaries (and states) in turn from one stream
+    rng = stream(7001, 0)
     shapes = [(2, 2), (2, 3), (3, 3), (2, 5), (3, 4), (2, 6), (4, 3), (6, 2), (5, 2), (3, 2)]
     worst_opent = 0.0
     for i in range(100):
-        da, db = shapes[i % len(shapes)]
-        u = sample_cue(da * db, stream, dims=BipartiteDims(da, db))
-        fast = operator_curves(decompose_block(u.entries[None], u.dims), 1)[0, 0]
-        worst_opent = max(worst_opent, abs(fast - operator_entanglement_naive(u)))
+        dims = BipartiteDims(*shapes[i % len(shapes)])
+        u = haar_unitary(rng, dims.d)
+        fast = operator_curves(decompose_block(u[None], dims), 1)[0, 0]
+        worst_opent = max(worst_opent, abs(fast - operator_entanglement_naive(u, dims)))
     # (ii) pairing-formula asymptote vs the brute-force time average
-    stream = RandomStream(7002, 0)
+    rng = stream(7002, 0)
     worst_asym = 0.0
     for _ in range(50):
-        u = sample_cue(20, stream, dims=DIMS)
-        psi = random_state(20, FieldTag.COMPLEX, stream, dims=DIMS)
-        block = decompose_block(u.entries[None], DIMS)
-        spectral = asymptotic_entropies(block, psi.amplitudes[None])[0][0]
-        worst_asym = max(worst_asym, abs(spectral - time_average_entropy(u, psi, 100_000)))
+        u = haar_unitary(rng, 20)
+        psi = unit_vector(rng, 20, FieldTag.COMPLEX)
+        block = decompose_block(u[None], DIMS)
+        spectral = asymptotic_entropies(block, psi[None])[0][0]
+        worst_asym = max(worst_asym, abs(spectral - time_average_entropy(u, psi, DIMS, 100_000)))
     # (iii) eigenbasis-synthesized powers vs repeated multiplication
-    stream = RandomStream(7003, 0)
+    rng = stream(7003, 0)
     worst_pow = 0.0
     for _ in range(20):
-        u = sample_cue(20, stream, dims=DIMS)
-        block = decompose_block(u.entries[None], DIMS)
+        u = haar_unitary(rng, 20)
+        block = decompose_block(u[None], DIMS)
         direct = np.eye(20, dtype=complex)
         for n in range(1, 41):
-            direct = direct @ u.entries
+            direct = direct @ u
             worst_pow = max(worst_pow, np.max(np.abs(matrix_power(block, n)[0] - direct)))
     ok = worst_opent < 1e-10 and worst_asym < 2e-3 and worst_pow < 1e-8
     record(7, "oracle equivalences (opent, asymptote, powers)", ok,

@@ -10,7 +10,7 @@ import pytest
 from entpower import cli, montecarlo
 from entpower.cli import main, table_from_json, table_to_csv, table_to_json
 from entpower.closedform import CaseTag, ep1, ep_inf, op_ent_cue
-from entpower.ensembles import EnsembleTag, RandomStream, sample_cue
+from entpower.ensembles import BipartiteDims, EnsembleTag, PhiloxStreams, sample_block
 from entpower.montecarlo import (
     ExperimentConfig,
     ExperimentKind,
@@ -35,6 +35,20 @@ def test_usage_errors(capsys):
     assert main(["opent-curve", "--da", "2", "--db", "3", "--state", "fixed"]) == 2
     assert main(["verify", "--da", "2", "--db", "3"]) == 2  # no --kind
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["ep-curve", "--da", "x"],
+    ["ep-curve", "--bogus", "1"],
+    ["fit", "--format", "csv"],
+    ["verify", "--kind", "bogus"],
+], ids=["no-command", "bad-int", "unknown-flag", "foreign-flag", "bad-choice"])
+def test_parser_errors_are_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: entpower") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -161,8 +175,10 @@ def _no_sampling(cfg, parallelism=1):
     ("form-factor", {"moment": 3}),
     ("verify", {"kind": "ep-curve", "gate_sigma": "5"}),
     ("verify", {"kind": "ep-curve", "gate_sigma": False}),
+    ("verify", {"kind": "ep-curve", "gate_sigma": 2**1100}),
 ], ids=["seed-float", "seed-bool", "da-string", "samples-float", "parallelism-null",
-        "ensemble-choice", "state-int", "out-int", "moment-choice", "gate-string", "gate-bool"])
+        "ensemble-choice", "state-int", "out-int", "moment-choice", "gate-string", "gate-bool",
+        "gate-beyond-float"])
 def test_config_values_are_type_checked(capsys, monkeypatch, tmp_path, command, config):
     monkeypatch.setattr(cli, "run_experiment", _no_sampling)
     path = tmp_path / "run.json"
@@ -242,7 +258,8 @@ def test_verify_form_factor_takes_moment(capsys):
 def test_failed_decomposition_exits_four_naming_the_sample(capsys, monkeypatch, samples,
                                                            parallelism, bad):
     # sample `bad` fails wherever it sits in its block and chunk
-    failing_u = sample_cue(6, RandomStream(5, bad)).entries
+    failing_u = sample_block(EnsembleTag.CUE, BipartiteDims(2, 3), None, PhiloxStreams(5),
+                             bad, 1)[0][0]
     real = montecarlo.decompose_block
 
     def decompose(u, dims, symmetric):

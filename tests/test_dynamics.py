@@ -25,56 +25,53 @@ from entpower.ensembles import (
     EnsembleTag,
     FieldTag,
     PhiloxStreams,
-    PureState,
-    RandomStream,
-    UnitaryMatrix,
     basis_product_state,
-    product_state,
-    random_state,
     sample_block,
-    sample_coe,
-    sample_cue,
 )
 from entpower.entanglement import purity_batch, reduced_density_batch
 
-from oracles import operator_entanglement_naive, time_average_entropy
+from oracles import operator_entanglement_naive, stream, time_average_entropy, unit_vector
 
 DIMS45 = BipartiteDims(4, 5)
 
 
-def diag_unitary(phases, dims):
-    return UnitaryMatrix(dims, np.diag(np.exp(1j * np.asarray(phases))), EnsembleTag.FIXED)
+def diag_unitary(phases):
+    return np.diag(np.exp(1j * np.asarray(phases)))
+
+
+def draws(ensemble, seed, first=0, count=1, dims=DIMS45):
+    """Unitaries of samples first, first+1, ... of master seed `seed`, from the run's sampler."""
+    return sample_block(ensemble, dims, None, PhiloxStreams(seed), first, count)[0]
 
 
 def cue(seed, idx=0, dims=DIMS45):
-    return sample_cue(dims.d, RandomStream(seed, idx), dims)
+    return draws(EnsembleTag.CUE, seed, idx, 1, dims)[0]
 
 
-def block_of(u):
-    """The decomposition of one unitary, a block of one; COE draws take the real route."""
-    return decompose_block(u.entries[None], u.dims, u.ensemble_tag is EnsembleTag.COE)
+def block_of(u, dims=DIMS45, symmetric=False):
+    """The decomposition of one unitary, a block of one; a COE draw takes symmetric=True."""
+    return decompose_block(np.asarray(u, dtype=np.complex128)[None], dims, symmetric)
 
 
-def state_entropy(psi):
-    return 1.0 - purity_batch(psi.amplitudes[:, None], psi.dims.d_a, psi.dims.d_b)[0]
+def state_entropy(psi, dims=DIMS45):
+    return 1.0 - purity_batch(psi[:, None], dims.d_a, dims.d_b)[0]
 
 
-def entropy_curve(u, psi, n_max):
-    return entropy_curves(block_of(u), psi.amplitudes[None], n_max)[0]
+def entropy_curve(u, psi, n_max, dims=DIMS45):
+    return entropy_curves(block_of(u, dims), psi[None], n_max)[0]
 
 
-def asymptote(u, psi):
-    return asymptotic_entropies(block_of(u), psi.amplitudes[None])[0][0]
+def asymptote(u, psi, dims=DIMS45, symmetric=False):
+    return asymptotic_entropies(block_of(u, dims, symmetric), psi[None])[0][0]
 
 
 def evolved_state(u, psi, n):
-    amps = np.linalg.matrix_power(u.entries, n) @ psi.amplitudes
-    return PureState(u.dims, amps / np.linalg.norm(amps), FieldTag.COMPLEX)
+    amps = np.linalg.matrix_power(u, n) @ psi
+    return amps / np.linalg.norm(amps)
 
 
 def test_spectral_decompose_diagonal_case():
-    u = diag_unitary([0.0, np.pi / 2], BipartiteDims(2, 1))
-    block = block_of(u)
+    block = block_of(diag_unitary([0.0, np.pi / 2]), BipartiteDims(2, 1))
     assert np.allclose(np.sort(block.phases[0]), [0.0, np.pi / 2], atol=1e-12)
     # eigenvectors of a diagonal matrix: standard basis up to order/phase
     assert np.allclose(np.sort(np.abs(block.vectors[0]).ravel()), [0, 0, 1, 1], atol=1e-12)
@@ -84,9 +81,9 @@ def test_spectral_reconstruction_contract():
     for idx in range(5):
         u = cue(41, idx)
         block = block_of(u)
-        assert np.max(np.abs(matrix_power(block, 1)[0] - u.entries)) < 1e-10
+        assert np.max(np.abs(matrix_power(block, 1)[0] - u)) < 1e-10
         z = block.vectors[0]
-        assert np.max(np.abs(z @ z.conj().T - np.eye(u.dims.d))) < 1e-10
+        assert np.max(np.abs(z @ z.conj().T - np.eye(20))) < 1e-10
         assert np.all(block.phases >= 0.0) and np.all(block.phases < 2 * np.pi)
 
 
@@ -95,8 +92,9 @@ def test_eigenphase_level_repulsion():
     d, samples = 8, 10_000
     cutoff = 0.1 * (2 * np.pi / d)
     small = 0
-    for idx in range(samples):
-        s = np.sort(block_of(sample_cue(d, RandomStream(59, idx))).phases[0])
+    dims = BipartiteDims(d, 1)
+    phases = decompose_block(draws(EnsembleTag.CUE, 59, count=samples, dims=dims), dims).phases
+    for s in np.sort(phases):
         gaps = np.append(np.diff(s), s[0] + 2 * np.pi - s[-1])
         small += int(np.sum(gaps < cutoff))
     frac = small / (samples * d)
@@ -109,29 +107,29 @@ def test_matrix_power_trivial_cases():
     block = block_of(u)
     assert matrix_power(block, 0).shape == (1, 20, 20)
     assert np.max(np.abs(matrix_power(block, 0)[0] - np.eye(20))) < 1e-10
-    assert np.max(np.abs(matrix_power(block, 1)[0] - u.entries)) < 1e-10
+    assert np.max(np.abs(matrix_power(block, 1)[0] - u)) < 1e-10
     with pytest.raises(ValueError):
         matrix_power(block, -1)
 
 
 def test_matrix_power_matches_direct_multiplication():
     u = cue(11)
-    direct = np.linalg.matrix_power(u.entries, 7)
+    direct = np.linalg.matrix_power(u, 7)
     assert np.max(np.abs(matrix_power(block_of(u), 7)[0] - direct)) < 1e-8
 
 
 @given(st.integers(0, 2**32), st.integers(0, 20), st.integers(0, 20))
 def test_matrix_power_additivity(seed, m, n):
-    u = sample_cue(6, RandomStream(seed, 0), BipartiteDims(2, 3))
-    block = block_of(u)
+    dims = BipartiteDims(2, 3)
+    block = block_of(cue(seed, dims=dims), dims)
     lhs = matrix_power(block, m + n)[0]
     rhs = matrix_power(block, m)[0] @ matrix_power(block, n)[0]
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 def test_matrix_power_unitary_at_long_times():
-    u200 = UnitaryMatrix(DIMS45, matrix_power(block_of(cue(13)), 200)[0], EnsembleTag.FIXED)
-    assert u200.unitarity_defect() < 1e-9
+    u200 = matrix_power(block_of(cue(13)), 200)[0]
+    assert np.max(np.abs(u200 @ u200.conj().T - np.eye(20))) < 1e-9
 
 
 def test_entropy_series_swap_keeps_product_states():
@@ -140,14 +138,13 @@ def test_entropy_series_swap_keeps_product_states():
     for a in range(2):
         for b in range(2):
             m[b * 2 + a, a * 2 + b] = 1.0
-    swap = UnitaryMatrix(dims, m, EnsembleTag.FIXED)
-    psi = PureState(dims, np.array([0.0, 1.0, 0.0, 0.0]), FieldTag.REAL)  # |0>_A |1>_B
-    assert np.max(np.abs(entropy_curve(swap, psi, 6))) < 1e-12
+    psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=np.complex128)  # |0>_A |1>_B
+    assert np.max(np.abs(entropy_curve(m, psi, 6, dims))) < 1e-12
 
 
 def test_entropy_series_diagonal_map_never_entangles():
-    phases = RandomStream(3, 0).generator().uniform(0, 2 * np.pi, 20)
-    u = diag_unitary(phases, DIMS45)
+    phases = stream(3, 0).uniform(0, 2 * np.pi, 20)
+    u = diag_unitary(phases)
     assert np.max(np.abs(entropy_curve(u, basis_product_state(DIMS45), 10))) < 1e-12
 
 
@@ -162,9 +159,8 @@ def test_entropy_series_matches_direct_powers():
 
 @given(st.integers(0, 2**32))
 def test_entropy_series_bounded(seed):
-    u = sample_cue(6, RandomStream(seed, 0), BipartiteDims(2, 3))
-    psi = basis_product_state(BipartiteDims(2, 3))
-    curve = entropy_curve(u, psi, 12)
+    dims = BipartiteDims(2, 3)
+    curve = entropy_curve(cue(seed, dims=dims), basis_product_state(dims), 12, dims)
     assert np.all(curve > -1e-12)
     assert np.all(curve < 1.0 - 1.0 / 2 + 1e-12)
 
@@ -176,24 +172,24 @@ def test_operator_entanglement_series_matches_direct_powers():
         dims = BipartiteDims(d_a, d_b)
         u = cue(19, dims=dims)
         for n_max in (1, 8):
-            curve = operator_curves(block_of(u), n_max)[0]
+            curve = operator_curves(block_of(u, dims), n_max)[0]
             assert curve.shape == (n_max,)
             for n in range(1, n_max + 1):
-                un = UnitaryMatrix(dims, np.linalg.matrix_power(u.entries, n), EnsembleTag.FIXED)
-                assert abs(curve[n - 1] - operator_entanglement_naive(un)) < 1e-10
+                un = np.linalg.matrix_power(u, n)
+                assert abs(curve[n - 1] - operator_entanglement_naive(un, dims)) < 1e-10
 
 
 def test_time_average_of_diagonal_map_is_zero():
-    phases = RandomStream(5, 0).generator().uniform(0, 2 * np.pi, 20)
-    u = diag_unitary(phases, DIMS45)
-    assert time_average_entropy(u, basis_product_state(DIMS45), 1000) < 1e-12
+    phases = stream(5, 0).uniform(0, 2 * np.pi, 20)
+    u = diag_unitary(phases)
+    assert time_average_entropy(u, basis_product_state(DIMS45), DIMS45, 1000) < 1e-12
 
 
 def test_time_average_cauchy_convergence():
     u = cue(23)
     psi = basis_product_state(DIMS45)
-    a = time_average_entropy(u, psi, 100_000)
-    b = time_average_entropy(u, psi, 200_000)
+    a = time_average_entropy(u, psi, DIMS45, 100_000)
+    b = time_average_entropy(u, psi, DIMS45, 200_000)
     assert abs(a - b) < 1e-3
 
 
@@ -201,7 +197,7 @@ def test_asymptotic_matches_time_average_oracle():
     u = cue(29)
     psi = basis_product_state(DIMS45)
     spectral = asymptote(u, psi)
-    direct = time_average_entropy(u, psi, 100_000)
+    direct = time_average_entropy(u, psi, DIMS45, 100_000)
     assert abs(spectral - direct) < 2e-3
 
 
@@ -210,25 +206,22 @@ def test_asymptotic_matches_time_average_with_larger_a_factor():
     dims = BipartiteDims(5, 4)
     u = cue(29, dims=dims)
     psi = basis_product_state(dims)
-    spectral = asymptote(u, psi)
-    direct = time_average_entropy(u, psi, 100_000)
+    spectral = asymptote(u, psi, dims)
+    direct = time_average_entropy(u, psi, dims, 100_000)
     # the direct average converges like 1/n_total: here within 1e-5
     assert abs(spectral - direct) < 1e-4
 
 
 def test_asymptotic_matches_time_average_coe_random_real_state():
-    stream = RandomStream(31, 0)
-    u = sample_coe(20, stream, DIMS45)
-    psi = product_state(random_state(4, FieldTag.REAL, stream),
-                        random_state(5, FieldTag.REAL, stream))
-    spectral = asymptote(u, psi)
-    direct = time_average_entropy(u, psi, 100_000)
+    u, psi = sample_block(EnsembleTag.COE, DIMS45, FieldTag.REAL, PhiloxStreams(31), 0, 1)
+    spectral = asymptote(u[0], psi[0], symmetric=True)
+    direct = time_average_entropy(u[0], psi[0], DIMS45, 100_000, symmetric=True)
     assert abs(spectral - direct) < 1e-4
 
 
 def test_asymptotic_of_diagonal_map_is_zero():
-    phases = RandomStream(7, 0).generator().uniform(0, 2 * np.pi, 20)
-    u = diag_unitary(phases, DIMS45)
+    phases = stream(7, 0).uniform(0, 2 * np.pi, 20)
+    u = diag_unitary(phases)
     assert abs(asymptote(u, basis_product_state(DIMS45))) < 1e-12
 
 
@@ -242,9 +235,8 @@ def _swap(d):
 
 def haar_diagonal(phases, dims, seed):
     """diag(e^{i phases}) in the eigenbasis of a CUE draw."""
-    z = cue(seed, dims=dims).entries
-    return UnitaryMatrix(dims, (z * np.exp(1j * np.asarray(phases))) @ z.conj().T,
-                         EnsembleTag.FIXED)
+    z = cue(seed, dims=dims)
+    return (z * np.exp(1j * np.asarray(phases))) @ z.conj().T
 
 
 @pytest.mark.parametrize("phases", [
@@ -254,9 +246,9 @@ def haar_diagonal(phases, dims, seed):
 def test_asymptotic_resonant_spectrum_matches_time_average(phases):
     dims = BipartiteDims(2, 2)
     u = haar_diagonal(phases, dims, 47)
-    psi = random_state(4, FieldTag.COMPLEX, RandomStream(47, 1), dims=dims)
+    psi = unit_vector(stream(47, 1), 4, FieldTag.COMPLEX)
     # the direct average converges like 1/n_total: here within about 1e-5
-    assert abs(asymptote(u, psi) - time_average_entropy(u, psi, 100_000)) < 1e-4
+    assert abs(asymptote(u, psi, dims) - time_average_entropy(u, psi, dims, 100_000)) < 1e-4
 
 
 @pytest.mark.parametrize("entries", [np.eye(9), _swap(3)], ids=["identity", "swap"])
@@ -265,11 +257,11 @@ def test_asymptotic_exact_for_identity_and_swap(entries):
     # purity), so that is the time average; the brute-force one drifts by
     # ~1e-12 over 1e5 steps as the roundoff in the phase pi accumulates
     dims = BipartiteDims(3, 3)
-    u = UnitaryMatrix(dims, entries, EnsembleTag.FIXED)
-    psi = random_state(9, FieldTag.COMPLEX, RandomStream(53, 0), dims=dims)
-    assert state_entropy(psi) > 0.1  # entangled
-    assert abs(asymptote(u, psi) - state_entropy(psi)) < 1e-12
-    assert abs(asymptote(u, psi) - time_average_entropy(u, psi, 1_000)) < 1e-12
+    psi = unit_vector(stream(53, 0), 9, FieldTag.COMPLEX)
+    assert state_entropy(psi, dims) > 0.1  # entangled
+    spectral = asymptote(entries, psi, dims)
+    assert abs(spectral - state_entropy(psi, dims)) < 1e-12
+    assert abs(spectral - time_average_entropy(entries, psi, dims, 1_000)) < 1e-12
 
 
 @pytest.mark.parametrize("ns", [range(1, 41), range(20_001, 20_101)], ids=["curve", "time-average-chunk"])
@@ -278,7 +270,7 @@ def test_phase_powers_match_exp(ns):
     # takes them.  Phases of at most 38 significant bits make n phi exact for
     # n < 2^15, so that np.exp(1j n phi) is accurate to roundoff at every n here
     top = int(2 * np.pi * 2**35)
-    m = RandomStream(59, 0).generator().integers(0, top, size=(3, 20))
+    m = stream(59, 0).integers(0, top, size=(3, 20))
     m[0, :2] = 0, top - 1
     phases = m / 2.0**35
     powers = dynamics._phase_powers(phases, ns)
@@ -288,8 +280,7 @@ def test_phase_powers_match_exp(ns):
 
 
 def test_form_factor_identity():
-    u = UnitaryMatrix(DIMS45, np.eye(20), EnsembleTag.FIXED)
-    assert abs(form_factors(block_of(u).phases, 3)[0, 2] - 400.0) < 1e-9
+    assert abs(form_factors(block_of(np.eye(20)).phases, 3)[0, 2] - 400.0) < 1e-9
 
 
 def test_form_factor_matches_trace_of_powers():
@@ -299,7 +290,7 @@ def test_form_factor_matches_trace_of_powers():
     for n in (1, 2, 7, 10):
         t = np.trace(matrix_power(block, n)[0])
         assert abs(curve[n - 1] - abs(t) ** 2) < 1e-8
-        t_direct = np.trace(np.linalg.matrix_power(u.entries, n))
+        t_direct = np.trace(np.linalg.matrix_power(u, n))
         assert abs(curve[n - 1] - abs(t_direct) ** 2) < 1e-8
 
 
@@ -331,10 +322,10 @@ def resonant_unitaries(symmetric):
     theta = np.arctan(dynamics._EIGH_MIX)
     phases = np.array([theta + 0.7, theta - 0.7, 2.0, 4.0])
     if symmetric:
-        z = np.linalg.qr(RandomStream(3, 0).generator().standard_normal((4, 4)))[0]
-        other = sample_coe(4, RandomStream(3, 1), BipartiteDims(2, 2)).entries
+        z = np.linalg.qr(stream(3, 0).standard_normal((4, 4)))[0]
+        other = draws(EnsembleTag.COE, 3, first=1, dims=BipartiteDims(2, 2))[0]
     else:
-        z = cue(3, dims=BipartiteDims(2, 2)).entries
+        z = cue(3, dims=BipartiteDims(2, 2))
         other = z
     u = (z * np.exp(1j * phases)) @ z.conj().T
     return np.stack([u, other]), phases
@@ -372,8 +363,7 @@ def test_kernels_take_a_real_block_as_its_complex_copy():
     complex_copy = dynamics.SpectralBlock(block.dims, block.phases,
                                           block.vectors.astype(np.complex128), block.residuals,
                                           block.redos)
-    complex_states = np.stack([random_state(20, FieldTag.COMPLEX, RandomStream(7, i), dims=DIMS45)
-                               .amplitudes for i in range(4)])
+    complex_states = np.stack([unit_vector(stream(7, i), 20, FieldTag.COMPLEX) for i in range(4)])
     for states in (real_states, complex_states):
         for a, b in zip(asymptotic_entropies(block, states),
                         asymptotic_entropies(complex_copy, states)):
@@ -423,17 +413,17 @@ def test_run_path_never_imports_scipy_linalg(tmp_path):
 
 
 def test_decompose_block_matches_one_at_a_time():
-    for symmetric, sampler in ((False, sample_cue), (True, sample_coe)):
-        us = [sampler(20, RandomStream(43, i), DIMS45) for i in range(5)]
-        block = decompose_block(np.stack([u.entries for u in us]), DIMS45, symmetric)
+    for ensemble, symmetric in ((EnsembleTag.CUE, False), (EnsembleTag.COE, True)):
+        us = draws(ensemble, 43, count=5)
+        block = decompose_block(us, DIMS45, symmetric)
         for i, u in enumerate(us):
-            one = decompose_block(u.entries[None], DIMS45, symmetric)
+            one = decompose_block(u[None], DIMS45, symmetric)
             assert np.array_equal(block.phases[i], one.phases[0])
             assert np.array_equal(block.vectors[i], one.vectors[0])
 
 
 @pytest.mark.parametrize("curves", [
-    lambda block: entropy_curves(block, basis_product_state(DIMS45).amplitudes[None], 0),
+    lambda block: entropy_curves(block, basis_product_state(DIMS45)[None], 0),
     lambda block: operator_curves(block, 0),
     lambda block: form_factors(block.phases, 0),
 ], ids=["entropy", "operator", "form-factor"])
@@ -444,9 +434,8 @@ def test_curves_reject_n_max_below_one(curves):
 
 def kernel_results(seed):
     """Each block kernel's results on one block of three CUE draws and random states."""
-    block = decompose_block(np.stack([cue(seed, i).entries for i in range(3)]), DIMS45)
-    states = np.stack([random_state(20, FieldTag.COMPLEX, RandomStream(seed, 10 + i), dims=DIMS45)
-                       .amplitudes for i in range(3)])
+    block = decompose_block(draws(EnsembleTag.CUE, seed, count=3), DIMS45)
+    states = np.stack([unit_vector(stream(seed, 10 + i), 20, FieldTag.COMPLEX) for i in range(3)])
     return [entropy_curves(block, states, 6), operator_curves(block, 6),
             purity_batch(states.T, 4, 5), reduced_density_batch(states.T, 4, 5),
             *asymptotic_entropies(block, states)]

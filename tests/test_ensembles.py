@@ -9,18 +9,30 @@ from entpower.ensembles import (
     EnsembleTag,
     FieldTag,
     PhiloxStreams,
-    PureState,
-    RandomStream,
+    _product_states,
+    _unit_vectors,
     basis_product_state,
-    product_state,
-    random_state,
     sample_block,
-    sample_coe,
-    sample_cue,
 )
 from entpower.entanglement import purity_batch
 
 from oracles import stream_draw
+
+
+def draws(ensemble, d, seed, first=0, count=1):
+    """Unitaries on C^d of samples first, first+1, ... of master seed `seed`, from sample_block."""
+    return sample_block(ensemble, BipartiteDims(d, 1), None, PhiloxStreams(seed), first, count)[0]
+
+
+def lone_states(field_tag, d, seed, first=0, count=1):
+    """Random states on C^d or R^d, each from the first normals of its stream."""
+    width = 2 * d if field_tag is FieldTag.COMPLEX else d
+    return _unit_vectors(field_tag, PhiloxStreams(seed).normals(first, count, width))
+
+
+def unitarity_defect(u):
+    """max |U U^dag - 1|, entrywise."""
+    return float(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))))
 
 
 def test_bipartite_dims():
@@ -31,158 +43,127 @@ def test_bipartite_dims():
 
 
 def test_random_stream_reproducible():
-    a = RandomStream(7, 3).generator().standard_normal(16)
-    b = RandomStream(7, 3).generator().standard_normal(16)
+    a = PhiloxStreams(7).normals(3, 1, 16)
+    b = PhiloxStreams(7).normals(3, 1, 16)
     assert np.array_equal(a, b)
-    c = RandomStream(7, 4).generator().standard_normal(16)
+    c = PhiloxStreams(7).normals(4, 1, 16)
     assert not np.array_equal(a, c)
 
 
 def test_random_stream_rejects_negative():
-    with pytest.raises(ValueError):
-        RandomStream(-1, 0)
     # each word of the Philox key holds 64 bits
-    for make in (lambda: RandomStream(2**64, 0), lambda: RandomStream(0, 2**64),
-                 lambda: PhiloxStreams(2**64)):
+    for seed in (-1, 2**64):
         with pytest.raises(ValueError):
-            make()
-
-
-def test_sample_cue_rejects_zero_dim():
-    with pytest.raises(ValueError):
-        sample_cue(0, RandomStream(0, 0))
-
-
-def test_sample_cue_dims_mismatch():
-    with pytest.raises(ValueError):
-        sample_cue(6, RandomStream(0, 0), BipartiteDims(2, 2))
+            PhiloxStreams(seed)
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32))
 def test_cue_unitarity(d_a, d_b, seed):
-    u = sample_cue(d_a * d_b, RandomStream(seed, 0), BipartiteDims(d_a, d_b))
-    assert u.unitarity_defect() < 1e-12
-    assert u.ensemble_tag is EnsembleTag.CUE
+    dims = BipartiteDims(d_a, d_b)
+    u, _ = sample_block(EnsembleTag.CUE, dims, None, PhiloxStreams(seed), 0, 1)
+    assert unitarity_defect(u[0]) < 1e-12
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32))
 def test_coe_symmetric_unitary(d_a, d_b, seed):
-    u = sample_coe(d_a * d_b, RandomStream(seed, 1), BipartiteDims(d_a, d_b))
-    assert np.array_equal(u.entries, u.entries.T)
-    assert u.unitarity_defect() < 1e-12
+    dims = BipartiteDims(d_a, d_b)
+    u = sample_block(EnsembleTag.COE, dims, None, PhiloxStreams(seed), 1, 1)[0][0]
+    assert np.array_equal(u, u.T)
+    assert unitarity_defect(u) < 1e-12
 
 
 def test_coe_eigenvalues_on_unit_circle():
-    for idx in range(5):
-        u = sample_coe(20, RandomStream(3, idx))
-        w = np.linalg.eigvals(u.entries)
+    for u in draws(EnsembleTag.COE, 20, 3, count=5):
+        w = np.linalg.eigvals(u)
         assert np.max(np.abs(np.abs(w) - 1.0)) < 1e-10
 
 
 def test_cue_determinism_bitwise():
-    a = sample_cue(12, RandomStream(42, 9))
-    b = sample_cue(12, RandomStream(42, 9))
-    assert np.array_equal(a.entries, b.entries)
+    a = draws(EnsembleTag.CUE, 12, 42, first=9)
+    b = draws(EnsembleTag.CUE, 12, 42, first=9)
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("field_tag", [FieldTag.REAL, FieldTag.COMPLEX])
-@pytest.mark.parametrize("ensemble,sampler", [(EnsembleTag.CUE, sample_cue),
-                                              (EnsembleTag.COE, sample_coe)], ids=["cue", "coe"])
-def test_stacked_draws_match_one_at_a_time(ensemble, sampler, field_tag):
+@pytest.mark.parametrize("ensemble", [EnsembleTag.CUE, EnsembleTag.COE], ids=["cue", "coe"])
+def test_stacked_draws_match_one_at_a_time(ensemble, field_tag):
     dims = BipartiteDims(4, 5)
     stacked, states = sample_block(ensemble, dims, field_tag, PhiloxStreams(61), 0, 7)
     for i in range(7):
         u_ref, psi_ref = stream_draw(61, i, 4, 5, ensemble, field_tag)
         assert np.array_equal(stacked[i], u_ref)
         assert np.array_equal(states[i], psi_ref)
-        # a fresh stream per sample: unitary first, then the A and B factors
-        stream = RandomStream(61, i)
-        assert np.array_equal(stacked[i], sampler(20, stream, dims).entries)
-        psi = product_state(random_state(4, field_tag, stream), random_state(5, field_tag, stream))
-        assert np.array_equal(states[i], psi.amplitudes)
+        # a block of one: a draw does not depend on the rest of its block
+        u_one, psi_one = sample_block(ensemble, dims, field_tag, PhiloxStreams(61), i, 1)
+        assert np.array_equal(stacked[i], u_one[0])
+        assert np.array_equal(states[i], psi_one[0])
 
 
 def test_cue_d1_phase_uniform():
     # d = 1: the sample is a bare Haar phase, so tr U averages to zero
-    total = 0.0 + 0.0j
     n = 100_000
-    for idx in range(n):
-        total += sample_cue(1, RandomStream(5, idx)).entries[0, 0]
-    assert abs(total / n) < 0.02
+    phases = draws(EnsembleTag.CUE, 1, 5, count=n)[:, 0, 0]
+    assert abs(phases.mean()) < 0.02
 
 
 def test_cue_haar_left_invariance_ks():
     # multiplying by a fixed unitary must not change the distribution
     # of any fixed entry's modulus
     d, n = 8, 10_000
-    v = sample_cue(d, RandomStream(999, 0)).entries
-    plain = np.empty(n)
-    rotated = np.empty(n)
-    for idx in range(n):
-        u = sample_cue(d, RandomStream(17, idx)).entries
-        plain[idx] = abs(u[0, 0])
-        u2 = sample_cue(d, RandomStream(18, idx)).entries
-        rotated[idx] = abs((v @ u2)[0, 0])
+    v = draws(EnsembleTag.CUE, d, 999)[0]
+    plain = np.abs(draws(EnsembleTag.CUE, d, 17, count=n)[:, 0, 0])
+    rotated = np.abs((v @ draws(EnsembleTag.CUE, d, 18, count=n))[:, 0, 0])
     _, p = scipy.stats.ks_2samp(plain, rotated)
     assert p > 0.001
 
 
 def test_random_state_normalized_and_tagged():
-    s = random_state(20, FieldTag.COMPLEX, RandomStream(1, 0))
-    assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
-    r = random_state(20, FieldTag.REAL, RandomStream(1, 1))
-    assert np.all(r.amplitudes.imag == 0.0)
-    assert r.field_tag is FieldTag.REAL
+    s = lone_states(FieldTag.COMPLEX, 20, 1)[0]
+    assert abs(np.linalg.norm(s) - 1.0) < 1e-12
+    r = lone_states(FieldTag.REAL, 20, 1, first=1)[0]
+    assert r.dtype == np.complex128
+    assert np.all(r.imag == 0.0)
+    # and the product states of a block, drawn after their unitaries
+    for field_tag in FieldTag:
+        _, states = sample_block(EnsembleTag.COE, BipartiteDims(4, 5), field_tag,
+                                 PhiloxStreams(1), 0, 8)
+        assert np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)) < 1e-12
+        if field_tag is FieldTag.REAL:
+            assert np.all(states.imag == 0.0)
 
 
 def test_random_state_component_symmetry():
     # sphere symmetry: every |amplitude_k|^2 has mean 1/d
     d, n = 20, 100_000
-    acc = np.zeros(d)
-    acc2 = np.zeros(d)
-    for idx in range(n):
-        p = np.abs(random_state(d, FieldTag.COMPLEX, RandomStream(23, idx)).amplitudes) ** 2
-        acc += p
-        acc2 += p * p
-    mean = acc / n
-    se = np.sqrt((acc2 / n - mean**2) / (n - 1))
+    p = np.abs(lone_states(FieldTag.COMPLEX, d, 23, count=n)) ** 2
+    mean = p.mean(axis=0)
+    se = np.sqrt(((p * p).mean(axis=0) - mean**2) / (n - 1))
     assert np.all(np.abs(mean - 1.0 / d) < 5 * se)
 
 
 def test_product_state_basis_case():
     psi = basis_product_state(BipartiteDims(4, 5))
-    assert psi.amplitudes[0] == 1.0
-    assert np.all(psi.amplitudes[1:] == 0.0)
-    assert psi.field_tag is FieldTag.REAL
+    assert psi.shape == (20,) and psi.dtype == np.complex128
+    assert psi[0] == 1.0
+    assert np.all(psi[1:] == 0.0)
 
 
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32))
 def test_product_state_is_unentangled(d_a, d_b, seed):
-    stream = RandomStream(seed, 0)
-    psi = product_state(random_state(d_a, FieldTag.COMPLEX, stream),
-                        random_state(d_b, FieldTag.COMPLEX, stream))
-    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
-    assert 1.0 - purity_batch(psi.amplitudes[:, None], d_a, d_b)[0] < 1e-12
+    dims = BipartiteDims(d_a, d_b)
+    # the A and B factors from the first normals of the stream
+    alone = _product_states(dims, FieldTag.COMPLEX,
+                            PhiloxStreams(seed).normals(0, 1, 2 * d_a + 2 * d_b))
+    # and behind a unitary, as runs draw them
+    _, drawn = sample_block(EnsembleTag.CUE, dims, FieldTag.COMPLEX, PhiloxStreams(seed), 0, 1)
+    for psi in (alone, drawn):
+        assert abs(np.linalg.norm(psi[0]) - 1.0) < 1e-12
+        assert 1.0 - purity_batch(psi.T, d_a, d_b)[0] < 1e-12
 
 
 def test_product_state_composite_index_is_a_major():
-    a = PureState(BipartiteDims(2, 1), np.array([0.0, 1.0]), FieldTag.REAL)
-    b = PureState(BipartiteDims(3, 1), np.array([1.0, 0.0, 0.0]), FieldTag.REAL)
-    psi = product_state(a, b)
+    # factors |1>_A and |0>_B, from normals that are their amplitudes
+    psi = _product_states(BipartiteDims(2, 3), FieldTag.REAL, np.array([[0.0, 1.0, 1.0, 0.0, 0.0]]))
     # |1>_A (x) |0>_B lives at k = 1 * d_b + 0
-    assert psi.amplitudes[3] == 1.0
-
-
-def test_product_state_rejects_bipartite_factors():
-    bell = PureState(BipartiteDims(2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2), FieldTag.REAL)
-    single = PureState(BipartiteDims(2, 1), np.array([1.0, 0.0]), FieldTag.REAL)
-    with pytest.raises(ValueError):
-        product_state(bell, single)
-
-
-def test_pure_state_validation():
-    dims = BipartiteDims(2, 1)
-    with pytest.raises(ValueError):
-        PureState(dims, np.array([1.0, 1.0]), FieldTag.REAL)
-    with pytest.raises(ValueError):
-        PureState(dims, np.array([1.0, 1e-13j]), FieldTag.REAL)
+    assert psi[0, 3] == 1.0
+    assert np.count_nonzero(psi) == 1

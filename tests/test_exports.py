@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import entpower
+from entpower.ensembles import EnsembleTag
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(entpower.__path__))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,3 +33,18 @@ def test_readme_library_example_runs():
     assert blocks
     for block in blocks:
         exec(block, {})
+
+
+# the deleted single-draw layer; sample_block and PhiloxStreams draw the same samples
+REMOVED = ["RandomStream", "UnitaryMatrix", "PureState", "sample_cue", "sample_coe",
+           "random_state", "product_state", "_checked_dims"]
+
+
+@pytest.mark.parametrize("module", ["entpower", "entpower.ensembles"])
+def test_single_draw_layer_is_gone(module):
+    mod = importlib.import_module(module)
+    assert [name for name in REMOVED if hasattr(mod, name) or name in mod.__all__] == []
+
+
+def test_ensemble_tags_are_the_two_circular_ensembles():
+    assert [tag.name for tag in EnsembleTag] == ["CUE", "COE"]

@@ -18,9 +18,7 @@ from entpower.ensembles import (
     EnsembleTag,
     FieldTag,
     PhiloxStreams,
-    RandomStream,
     sample_block,
-    sample_cue,
 )
 from entpower.montecarlo import (
     ConfigError,
@@ -85,8 +83,8 @@ def test_accumulator_matches_two_pass_statistics(monkeypatch):
     cfg = small_config(kind=ExperimentKind.FORM_FACTOR, state_mode=StateMode.NONE)
     table = run_experiment(cfg)
     # per-sample |tr U^n|^2, recomputed outside run_experiment's accumulator
-    entries = np.stack([sample_cue(6, RandomStream(cfg.master_seed, i), cfg.dims).entries
-                        for i in range(cfg.samples)])
+    entries, _ = sample_block(cfg.ensemble, cfg.dims, None, PhiloxStreams(cfg.master_seed), 0,
+                              cfg.samples)
     values = form_factors(decompose_block(entries, cfg.dims).phases, cfg.n_max)
     for row, column in zip(table.rows, values.T):
         assert row.count == cfg.samples
@@ -433,7 +431,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(samples=1)
     with pytest.raises(ConfigError):
-        small_config(ensemble=EnsembleTag.FIXED)
+        small_config(ensemble="cue")  # not an EnsembleTag
     with pytest.raises(ConfigError):
         small_config(master_seed=-4)
     with pytest.raises(ConfigError):
