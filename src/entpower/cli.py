@@ -77,7 +77,8 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors raise ConfigError, which main reports on one line."""
 
     def error(self, message):
-        raise ConfigError(f"{self.prog}: {message}")
+        # argparse quotes unrecognized arguments verbatim, line breaks included
+        raise ConfigError(f"{self.prog}: " + "\\n".join(message.splitlines()))
 
 
 @functools.cache

@@ -22,8 +22,7 @@ the linear entropy by matching pair sums of phases.
 Work runs on blocks: a :class:`SpectralBlock` holds the decompositions
 of a stack of unitaries, and the observables (entropy curves, operator
 curves, asymptotic averages, form factors) take a block.  A single
-unitary ``u`` of shape (d, d) is a stack of one,
-``decompose_block(u[None], dims)``.
+unitary ``u`` is a stack of one, ``decompose_block(u[None], dims)``.
 
 The curves take every e^{i n phi_k} from :func:`_phase_powers`.
 States synthesise orbit columns, U^n psi = sum_k z_k <z_k|psi>

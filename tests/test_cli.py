@@ -43,7 +43,8 @@ def test_usage_errors(capsys):
     ["ep-curve", "--bogus", "1"],
     ["fit", "--format", "csv"],
     ["verify", "--kind", "bogus"],
-], ids=["no-command", "bad-int", "unknown-flag", "foreign-flag", "bad-choice"])
+    ["ep-curve", "--da", "2", "--db", "3", "stray\nargument"],
+], ids=["no-command", "bad-int", "unknown-flag", "foreign-flag", "bad-choice", "line-break"])
 def test_parser_errors_are_one_line(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2

@@ -89,9 +89,11 @@ def wrong_type_value(action, in_argv):
 
 
 def is_unknown(name):
-    # argparse takes an unambiguous prefix of a flag (--help and --config too) as that flag
+    # argparse reads --name=value as --name, and takes an unambiguous
+    # prefix of a flag (--help and --config too) as that flag
+    stem = name.split("=", 1)[0]
     return (name.replace("-", "_") not in ACTIONS
-            and not any(flag.startswith("--" + name) for flag in FLAGS))
+            and not any(flag.startswith("--" + stem) for flag in FLAGS))
 
 
 @st.composite
@@ -119,7 +121,7 @@ def invocations(draw, kind, out_path):
     elif kind == "wrong-type":
         mistyped = draw(st.sampled_from(sorted(options)))
     elif kind == "unknown-key":
-        dest = draw(st.text("abcdefghijklmnopqrstuvwxyz-_", min_size=1, max_size=12).filter(is_unknown))
+        dest = draw(st.text(min_size=1, max_size=12).filter(is_unknown))
         values[dest] = draw(st.integers(0, 9))
     elif kind == "foreign":
         dest = draw(st.sampled_from(sorted(ACTIONS.keys() - options.keys())))
