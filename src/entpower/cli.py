@@ -5,8 +5,9 @@ opent-curve, form-factor with --moment, asymptotic) plus `table` for
 the closed-form values, `verify` for statistically gated reproduction
 runs, and `fit` for the form-factor model of the CUE entropy curve.
 
-Flag values override config-file values (--config, flat JSON keyed by
-flag names); defaults fill the rest.  --seed falls back to the
+`_OPTIONS` is the one source of option types and defaults.  Flag values
+(spelled in full) override config-file values (--config, flat JSON
+keyed by flag names); defaults fill the rest.  --seed falls back to the
 RMT_SEED environment variable, then 0.  Exit codes: 0 pass, 1
 statistical gate failure, 2 usage or config error (dimensions too
 large for memory included), 3 I/O error, 4 a sample's decomposition
@@ -58,10 +59,60 @@ _STATE_MODES = {
     "random-real": StateMode.RANDOM_REAL_PRODUCT,
 }
 _ENSEMBLES = {"cue": EnsembleTag.CUE, "coe": EnsembleTag.COE}
-_DEFAULT_SAMPLES = 100_000
+_COMMAND_KINDS = {
+    "ep-curve": ExperimentKind.EP_CURVE,
+    "opent-curve": ExperimentKind.OPENT_CURVE,
+    "form-factor": ExperimentKind.FORM_FACTOR,
+    "asymptotic": ExperimentKind.ASYMPTOTIC,
+}
 # verify passes a row within this of its target whatever its stderr: rows
 # that are exact up to roundoff (d_A = 1, d = 1) have a stderr near 0
 _ROUNDOFF_FLOOR = 1e-12
+
+
+# Every option by dest: (type, choices, default, help).  A default of None
+# means none (da, db, out, kind) or one the run works out (nmax, seed).
+# The table holds no ranges: ExperimentConfig, check_parallelism and
+# verify's --gate-sigma check are the one place each range is checked,
+# whichever way the value came in.
+_OPTIONS = {
+    "da": (int, None, None, "subsystem A dimension"),
+    "db": (int, None, None, "subsystem B dimension"),
+    "nmax": (int, None, None, "largest iteration count (default 2*da*db)"),
+    "samples": (int, None, 100_000, "Monte Carlo samples"),
+    "seed": (int, None, None, "master seed (default: RMT_SEED env, then 0)"),
+    "ensemble": (str, tuple(sorted(_ENSEMBLES)), "cue", "unitary ensemble"),
+    "state": (str, tuple(sorted(_STATE_MODES)), "fixed", "initial product state mode"),
+    "parallelism": (int, None, 1, "worker threads"),
+    "kind": (str, tuple(_COMMAND_KINDS), None, "experiment to run and gate"),
+    "moment": (int, (2, 4), 2, "trace moment"),
+    "gate_sigma": (float, None, 5.0, "|z| threshold"),
+    "out": (str, None, None, "output path (default stdout)"),
+    "format": (str, ("csv", "json"), "csv", "output format"),
+}
+# Every subcommand by name: (help, the dests it takes besides --config).
+# verify and fit print gate lines to stdout, so only the experiment
+# subcommands and table take --out and --format.  verify takes the
+# options of every --kind; a run takes those of its own.
+_SUBCOMMANDS = {
+    "ep-curve": ("mean linear entropy of U^n psi vs n",
+                 "da db nmax samples seed ensemble state parallelism out format"),
+    "opent-curve": ("mean operator entanglement of U^n vs n",
+                    "da db nmax samples seed ensemble parallelism out format"),
+    "form-factor": ("mean |tr U^n|^2 (or ^4) vs n",
+                    "da db nmax samples seed ensemble parallelism out format moment"),
+    "asymptotic": ("mean infinite-time entropy (single row, n = -1)",
+                   "da db samples seed ensemble state parallelism out format"),
+    "table": ("closed-form reference values for given dims", "da db out format"),
+    "verify": ("run an experiment and gate it against closed forms",
+               "da db nmax samples seed ensemble state parallelism kind moment gate_sigma"),
+    "fit": ("least-squares form-factor model of the CUE ep-curve",
+            "da db nmax samples seed ensemble state parallelism"),
+}
+
+
+def _takes(command: str) -> set[str]:
+    return set(_SUBCOMMANDS[command][1].split())
 
 
 @dataclass
@@ -69,8 +120,6 @@ class CliInvocation:
     subcommand: str
     flags: dict
     config_path: str | None
-    # the subcommand's argparse actions by dest: the one source of option types
-    actions: dict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,76 +135,34 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     """The entpower parser and its subcommand parsers by name, built once per process.
 
     Every call returns the same parsers: parsing leaves them unchanged,
-    and callers must not add to them.
+    and callers must not add to them.  Abbreviated flags are errors, as
+    config keys must match exactly too.
     """
     parser = _Parser(
-        prog="entpower",
+        prog="entpower", allow_abbrev=False,
         description="Monte Carlo curves and closed-form checks for the "
                     "entangling power of iterated CUE/COE unitaries.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # verify and fit print gate lines to stdout, so only the experiment
-    # subcommands and table take --out and --format
-    def add_output(sp):
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=["csv", "json"])
-
-    def add_common(sp, *, state: bool, nmax: bool = True):
-        sp.add_argument("--da", type=int, help="subsystem A dimension")
-        sp.add_argument("--db", type=int, help="subsystem B dimension")
-        if nmax:
-            sp.add_argument("--nmax", type=int, help="largest iteration count (default 2*da*db)")
-        sp.add_argument("--samples", type=int, help=f"Monte Carlo samples (default {_DEFAULT_SAMPLES})")
-        sp.add_argument("--seed", type=int, help="master seed (default: RMT_SEED env, then 0)")
-        sp.add_argument("--ensemble", choices=sorted(_ENSEMBLES))
-        if state:
-            sp.add_argument("--state", choices=sorted(_STATE_MODES),
-                            help="initial product state mode (default fixed)")
-        sp.add_argument("--parallelism", type=int, help="worker threads (default 1)")
+    for command, (summary, dests) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(command, help=summary, allow_abbrev=False)
+        for dest in dests.split():
+            kind, choices, default, text = _OPTIONS[dest]
+            if default is not None:
+                text += f" (default {default})"
+            sp.add_argument("--" + dest.replace("_", "-"), type=kind, choices=choices, help=text)
         sp.add_argument("--config", help="flat JSON file with flag-name keys")
-
-    sp = sub.add_parser("ep-curve", help="mean linear entropy of U^n psi vs n")
-    add_common(sp, state=True)
-    add_output(sp)
-    sp = sub.add_parser("opent-curve", help="mean operator entanglement of U^n vs n")
-    add_common(sp, state=False)
-    add_output(sp)
-    sp = sub.add_parser("form-factor", help="mean |tr U^n|^2 (or ^4) vs n")
-    add_common(sp, state=False)
-    add_output(sp)
-    sp.add_argument("--moment", type=int, choices=[2, 4], help="trace moment (default 2)")
-    sp = sub.add_parser("asymptotic", help="mean infinite-time entropy (single row, n = -1)")
-    add_common(sp, state=True, nmax=False)
-    add_output(sp)
-
-    sp = sub.add_parser("table", help="closed-form reference values for given dims")
-    sp.add_argument("--da", type=int)
-    sp.add_argument("--db", type=int)
-    add_output(sp)
-    sp.add_argument("--config", help="flat JSON file with flag-name keys")
-
-    sp = sub.add_parser("verify", help="run an experiment and gate it against closed forms")
-    add_common(sp, state=True)
-    sp.add_argument("--kind", choices=["ep-curve", "opent-curve", "form-factor", "asymptotic"])
-    sp.add_argument("--moment", type=int, choices=[2, 4])
-    sp.add_argument("--gate-sigma", type=float, help="|z| threshold (default 5.0)")
-
-    sp = sub.add_parser("fit", help="least-squares form-factor model of the CUE ep-curve")
-    add_common(sp, state=True)
     return parser, sub.choices
 
 
 def parse_invocation(argv: list[str]) -> CliInvocation:
-    parser, subparsers = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser()[0].parse_args(argv)
     flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    actions = {a.dest: a for a in subparsers[ns.command]._actions}
-    return CliInvocation(ns.command, flags, getattr(ns, "config", None), actions)
+    return CliInvocation(ns.command, flags, ns.config)
 
 
-def _config_value(key: str, value, action: argparse.Action):
-    """A config-file value checked against the type and choices of its flag."""
-    kind = action.type or str
+def _config_value(key: str, value, dest: str):
+    """A config-file value checked against the type and choices of its option."""
+    kind, choices, _, _ = _OPTIONS[dest]
     accepted = (int, float) if kind is float else kind
     # JSON true/false arrive as bools, which Python counts as ints
     if isinstance(value, bool) or not isinstance(value, accepted):
@@ -164,31 +171,49 @@ def _config_value(key: str, value, action: argparse.Action):
         value = kind(value)
     except OverflowError:  # an integer beyond the float range
         raise ConfigError(f"config key {key!r} is too large for {kind.__name__}") from None
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(map(repr, action.choices))
+    if choices is not None and value not in choices:
+        choices = ", ".join(map(repr, choices))
         raise ConfigError(f"config key {key!r} must be one of {choices}, got {value!r}")
     return value
 
 
 def _merged_options(inv: CliInvocation) -> dict:
+    """The run's options: flags over config values over the table's defaults.
+
+    Defaults fill exactly the options the run takes; for verify, those
+    of its --kind, where an option of another kind is an error.
+    """
     merged = dict(inv.flags)
-    if inv.config_path is None:
-        return {k: v for k, v in merged.items() if v is not None}
-    with open(inv.config_path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {inv.config_path} must hold a JSON object")
-    for key, value in raw.items():
-        dest = key.replace("-", "_")
-        if dest not in merged:
-            raise ConfigError(f"config key {key!r} is not a flag of subcommand {inv.subcommand!r}")
-        value = _config_value(key, value, inv.actions[dest])
-        if merged[dest] is None:
-            merged[dest] = value
-    return {k: v for k, v in merged.items() if v is not None}
+    if inv.config_path is not None:
+        with open(inv.config_path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {inv.config_path} must hold a JSON object")
+        for key, value in raw.items():
+            dest = key.replace("-", "_")
+            if dest not in merged:
+                raise ConfigError(f"config key {key!r} is not a flag of subcommand {inv.subcommand!r}")
+            value = _config_value(key, value, dest)
+            if merged[dest] is None:
+                merged[dest] = value
+    opts = {k: v for k, v in merged.items() if v is not None}
+    takes = _takes(inv.subcommand)
+    if inv.subcommand == "verify":
+        if "kind" not in opts:
+            raise ConfigError("verify requires --kind")
+        takes &= _takes(opts["kind"]) | {"kind", "gate_sigma"}
+        foreign = sorted(opts.keys() - takes)
+        if foreign:
+            names = ", ".join("--" + dest.replace("_", "-") for dest in foreign)
+            raise ConfigError(f"verify --kind {opts['kind']} takes no {names}")
+    defaults = {dest: _OPTIONS[dest][2] for dest in takes if _OPTIONS[dest][2] is not None}
+    return defaults | opts
 
 
-def _default_seed() -> int:
+def _seed(opts: dict) -> int:
+    """--seed or the config's seed; RMT_SEED, then 0, only when neither is given."""
+    if "seed" in opts:
+        return opts["seed"]
     env = os.environ.get("RMT_SEED")
     if env is None:
         return 0
@@ -198,27 +223,35 @@ def _default_seed() -> int:
         raise ConfigError(f"RMT_SEED must be an integer, got {env!r}") from None
 
 
-def _experiment_config(kind: ExperimentKind, opts: dict) -> ExperimentConfig:
-    da, db = opts.get("da"), opts.get("db")
-    if da is None or db is None:
+def _dims(opts: dict) -> tuple[int, int]:
+    if "da" not in opts or "db" not in opts:
         raise ConfigError("--da and --db are required")
-    if kind is ExperimentKind.ASYMPTOTIC:
-        n_max = 1
-    else:
-        n_max = opts.get("nmax", 2 * da * db)
-    state = StateMode.NONE
-    if kind in (ExperimentKind.EP_CURVE, ExperimentKind.ASYMPTOTIC):
-        state = _STATE_MODES[opts.get("state", "fixed")]
+    return opts["da"], opts["db"]
+
+
+def _experiment_config(name: str, opts: dict) -> ExperimentConfig:
+    """The run of experiment subcommand (or verify --kind) `name` with options `opts`."""
+    da, db = _dims(opts)
+    kind = ExperimentKind.FOURTH_MOMENT if opts.get("moment") == 4 else _COMMAND_KINDS[name]
     return ExperimentConfig(
         kind=kind,
-        ensemble=_ENSEMBLES[opts.get("ensemble", "cue")],
-        state_mode=state,
+        ensemble=_ENSEMBLES[opts["ensemble"]],
+        # a run has a state iff its subcommand (verify: its --kind) takes --state
+        state_mode=_STATE_MODES[opts["state"]] if "state" in opts else StateMode.NONE,
         d_a=da,
         d_b=db,
-        n_max=n_max,
-        samples=opts.get("samples", _DEFAULT_SAMPLES),
-        master_seed=opts.get("seed", _default_seed()),
+        n_max=1 if kind is ExperimentKind.ASYMPTOTIC else opts.get("nmax", 2 * da * db),
+        samples=opts["samples"],
+        master_seed=_seed(opts),
     )
+
+
+def _run(cfg: ExperimentConfig, parallelism: int) -> ResultTable:
+    try:
+        return run_experiment(cfg, parallelism=parallelism)
+    except MemoryError as exc:
+        raise ConfigError(f"d = {cfg.d_a * cfg.d_b} is too large for memory: "
+                          f"{str(exc) or 'MemoryError'}") from None
 
 
 def _fmt(x: float) -> str:
@@ -265,31 +298,15 @@ def emit_results(table: ResultTable, fmt: str, stream) -> None:
         raise ConfigError(f"unknown format {fmt!r}")
 
 
-_COMMAND_KINDS = {
-    "ep-curve": ExperimentKind.EP_CURVE,
-    "opent-curve": ExperimentKind.OPENT_CURVE,
-    "form-factor": ExperimentKind.FORM_FACTOR,
-    "asymptotic": ExperimentKind.ASYMPTOTIC,
-}
-
-
-def _resolve_kind(name: str, opts: dict) -> ExperimentKind:
-    kind = _COMMAND_KINDS[name]
-    if kind is ExperimentKind.FORM_FACTOR and opts.get("moment", 2) == 4:
-        return ExperimentKind.FOURTH_MOMENT
-    return kind
-
-
 def _cmd_experiment(inv: CliInvocation, opts: dict) -> int:
-    cfg = _experiment_config(_resolve_kind(inv.subcommand, opts), opts)
-    parallelism = check_parallelism(opts.get("parallelism", 1))
+    cfg = _experiment_config(inv.subcommand, opts)
+    parallelism = check_parallelism(opts["parallelism"])
     out = opts.get("out")
     # opened after every usage check and before sampling, so that a usage
     # error leaves no file behind and a bad path fails before any draw
     stream = sys.stdout if out is None else open(out, "w", encoding="utf-8", newline="\n")
     try:
-        table = run_experiment(cfg, parallelism=parallelism)
-        emit_results(table, opts.get("format", "csv"), stream)
+        emit_results(_run(cfg, parallelism), opts["format"], stream)
     except BaseException:
         # a failed run leaves no file behind either; a device or pipe given
         # as --out is not the run's to delete
@@ -315,11 +332,9 @@ def _closed_forms(da: int, db: int) -> list[tuple[str, Fraction]]:
 
 
 def _cmd_table(opts: dict) -> int:
-    da, db = opts.get("da"), opts.get("db")
-    if da is None or db is None:
-        raise ConfigError("--da and --db are required")
+    da, db = _dims(opts)
     values = _closed_forms(da, db)
-    if opts.get("format", "csv") == "json":
+    if opts["format"] == "json":
         payload = {
             "d_a": da,
             "d_b": db,
@@ -340,25 +355,16 @@ def _cmd_table(opts: dict) -> int:
 
 
 def _cmd_verify(opts: dict) -> int:
-    kind_name = opts.get("kind")
-    if kind_name is None:
-        raise ConfigError("verify requires --kind")
-    # verify takes the union of its kinds' options; each run takes its own
-    kind_dests = {a.dest for a in build_parser()[1][kind_name]._actions}
-    foreign = sorted(opts.keys() - kind_dests - {"kind", "gate_sigma"})
-    if foreign:
-        names = ", ".join("--" + dest.replace("_", "-") for dest in foreign)
-        raise ConfigError(f"verify --kind {kind_name} takes no {names}")
-    cfg = _experiment_config(_resolve_kind(kind_name, opts), opts)
+    cfg = _experiment_config(opts["kind"], opts)
     targets = exact_targets(cfg)
     if not targets:
         raise ConfigError(
-            f"no closed-form target for {kind_name} with ensemble {cfg.ensemble.value} "
+            f"no closed-form target for {opts['kind']} with ensemble {cfg.ensemble.value} "
             f"and state mode {cfg.state_mode.value}")
-    gate = opts.get("gate_sigma", 5.0)
+    gate = opts["gate_sigma"]
     if not (math.isfinite(gate) and gate > 0):
         raise ConfigError(f"--gate-sigma must be finite and > 0, got {gate}")
-    table = run_experiment(cfg, parallelism=opts.get("parallelism", 1))
+    table = _run(cfg, opts["parallelism"])
     failures = 0
     for n, label, target in targets:
         row = table.row_for(n)
@@ -373,13 +379,13 @@ def _cmd_verify(opts: dict) -> int:
 
 
 def _cmd_fit(opts: dict) -> int:
-    if opts.get("ensemble", "cue") != "cue":
+    if opts["ensemble"] != "cue":
         raise ConfigError("the form-factor model is a cue-ensemble statement; use --ensemble cue")
-    cfg = _experiment_config(ExperimentKind.EP_CURVE, opts)
+    cfg = _experiment_config("ep-curve", opts)
     d = cfg.d_a * cfg.d_b
     if cfg.n_max < 2 * d:
         raise ConfigError(f"fit needs the plateau resolved: --nmax at least {2 * d}")
-    table = run_experiment(cfg, parallelism=opts.get("parallelism", 1))
+    table = _run(cfg, opts["parallelism"])
     gate = gate_form_factor_fit([r.n for r in table.rows], [r.mean for r in table.rows],
                                 [r.stderr for r in table.rows], cfg.d_a, cfg.d_b)
     fit = gate.fit
@@ -392,7 +398,6 @@ def _cmd_fit(opts: dict) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    opts = {}
     try:
         inv = parse_invocation(sys.argv[1:] if argv is None else argv)
         opts = _merged_options(inv)
@@ -408,12 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except MemoryError as exc:
-        d = opts.get("da", 1) * opts.get("db", 1)
-        print(f"error: d = {d} is too large for memory: {str(exc) or 'MemoryError'}",
-              file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # _run names d in a run's MemoryError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -44,7 +44,11 @@ def test_usage_errors(capsys):
     ["fit", "--format", "csv"],
     ["verify", "--kind", "bogus"],
     ["ep-curve", "--da", "2", "--db", "3", "stray\nargument"],
-], ids=["no-command", "bad-int", "unknown-flag", "foreign-flag", "bad-choice", "line-break"])
+    ["ep-curve", "--da", "2", "--db", "3", "--sample", "4", "--see", "5"],
+    ["asymptotic", "--da", "2", "--db", "2", "--c", "0"],
+    ["ep-curve", "--h"],
+], ids=["no-command", "bad-int", "unknown-flag", "foreign-flag", "bad-choice", "line-break",
+        "sample", "c", "h"])
 def test_parser_errors_are_one_line(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
@@ -81,6 +85,9 @@ def test_ep_curve_csv_contract(capsys):
     n, mean, stderr, count = lines[1].split(",")
     assert (n, count) == ("1", "120")
     assert float(mean) > 0 and float(stderr) > 0
+    # a flag may carry its value after "=", though never abbreviated
+    joined = [EP_SMALL[0]] + [f"{f}={v}" for f, v in zip(EP_SMALL[1::2], EP_SMALL[2::2])]
+    assert run_cli(capsys, joined) == (0, out, "")
 
 
 def test_repeated_in_process_calls_share_one_parser(capsys):
@@ -360,7 +367,7 @@ def test_missing_config_file_is_io_error(capsys):
     assert code == 3
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
+def test_seed_env_fallback(capsys, monkeypatch, tmp_path):
     argv = ["ep-curve", "--da", "2", "--db", "3", "--nmax", "3", "--samples", "80"]
     monkeypatch.setenv("RMT_SEED", "5")
     _, via_env, _ = run_cli(capsys, argv)
@@ -373,6 +380,38 @@ def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("RMT_SEED", "not-a-number")
     code, _, _ = run_cli(capsys, argv)
     assert code == 2
+    # RMT_SEED is read only when neither --seed nor the config file gives a seed
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"seed": 5}))
+    assert run_cli(capsys, argv + ["--seed", "5"]) == (0, via_flag, "")
+    assert run_cli(capsys, argv + ["--config", str(path)]) == (0, via_flag, "")
+
+
+@pytest.mark.parametrize("argv,defaults", [
+    (["ep-curve"], "--ensemble cue --state fixed --parallelism 1 --format csv --seed 0 --nmax 8"),
+    (["opent-curve"], "--ensemble cue --parallelism 1 --format csv --seed 0 --nmax 8"),
+    (["form-factor"], "--ensemble cue --parallelism 1 --format csv --moment 2 --seed 0 --nmax 8"),
+    (["asymptotic"], "--ensemble cue --state fixed --parallelism 1 --format csv --seed 0"),
+    (["table"], "--format csv"),
+    (["verify", "--kind", "ep-curve"],
+     "--ensemble cue --state fixed --parallelism 1 --gate-sigma 5 --seed 0 --nmax 8"),
+    (["verify", "--kind", "opent-curve"],
+     "--ensemble cue --parallelism 1 --gate-sigma 5 --seed 0 --nmax 8"),
+    (["verify", "--kind", "form-factor"],
+     "--ensemble cue --parallelism 1 --moment 2 --gate-sigma 5 --seed 0 --nmax 8"),
+    (["verify", "--kind", "asymptotic"],
+     "--ensemble cue --state fixed --parallelism 1 --gate-sigma 5 --seed 0"),
+    (["fit"], "--ensemble cue --state fixed --parallelism 1 --seed 0 --nmax 8"),
+], ids=["ep-curve", "opent-curve", "form-factor", "asymptotic", "table", "verify-ep-curve",
+        "verify-opent-curve", "verify-form-factor", "verify-asymptotic", "fit"])
+def test_defaults_are_the_spelled_out_flags(capsys, monkeypatch, argv, defaults):
+    # a run that gives no optional flag is the run with every default of the
+    # options it takes spelled out, nmax = 2*da*db and seed 0 included
+    monkeypatch.delenv("RMT_SEED", raising=False)
+    argv = argv + ["--da", "2", "--db", "2"] + (["--samples", "40"] if argv[0] != "table" else [])
+    implicit = run_cli(capsys, argv)
+    assert implicit[0] in (0, 1) and implicit[1]
+    assert run_cli(capsys, argv + defaults.split()) == implicit
 
 
 def test_form_factor_moments(capsys):

@@ -1,7 +1,7 @@
 """The CLI's exit-code contract, on generated argv and --config files.
 
 Option names, types and choices come from the actions of
-``cli.build_parser()``, the one place option types live.  Each
+``cli.build_parser()``, which builds them from the CLI's option table.  Each
 invocation is one of five kinds: valid, one value out of range, one
 value of the wrong type, an unknown key, or an option foreign to the
 subcommand (for verify: to its --kind).  Every one must exit 0-4 with
@@ -28,7 +28,6 @@ OPTIONS = {command: {a.dest: a for a in parser._actions if a.option_strings
                      and a.dest not in ("help", "config")}
            for command, parser in SUBPARSERS.items()}
 ACTIONS = {dest: a for options in OPTIONS.values() for dest, a in options.items()}
-FLAGS = [flag for parser in SUBPARSERS.values() for a in parser._actions for flag in a.option_strings]
 # the accepted range of each numeric option, cut down so that a run takes
 # milliseconds: d = da * db <= 6 and samples <= 64.  Values below the
 # range (and for seed, above it) are out of range.
@@ -89,11 +88,9 @@ def wrong_type_value(action, in_argv):
 
 
 def is_unknown(name):
-    # argparse reads --name=value as --name, and takes an unambiguous
-    # prefix of a flag (--help and --config too) as that flag
-    stem = name.split("=", 1)[0]
-    return (name.replace("-", "_") not in ACTIONS
-            and not any(flag.startswith("--" + stem) for flag in FLAGS))
+    # a prefix of a flag is unknown too, as the parser takes no abbreviation;
+    # --help and --config are flags of every subcommand
+    return name.replace("-", "_") not in ACTIONS.keys() | {"help", "config"}
 
 
 @st.composite
