@@ -24,7 +24,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .closedform import CaseTag, ep1, ep_inf, gate_form_factor_fit, op_ent_cue
@@ -44,9 +43,6 @@ from .montecarlo import (
 )
 
 __all__ = [
-    "CliInvocation",
-    "parse_invocation",
-    "emit_results",
     "table_to_csv",
     "table_to_json",
     "table_from_json",
@@ -115,13 +111,6 @@ def _takes(command: str) -> set[str]:
     return set(_SUBCOMMANDS[command][1].split())
 
 
-@dataclass
-class CliInvocation:
-    subcommand: str
-    flags: dict
-    config_path: str | None
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors raise ConfigError, which main reports on one line."""
 
@@ -154,12 +143,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
-def parse_invocation(argv: list[str]) -> CliInvocation:
-    ns = build_parser()[0].parse_args(argv)
-    flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    return CliInvocation(ns.command, flags, ns.config)
-
-
 def _config_value(key: str, value, dest: str):
     """A config-file value checked against the type and choices of its option."""
     kind, choices, _, _ = _OPTIONS[dest]
@@ -177,28 +160,30 @@ def _config_value(key: str, value, dest: str):
     return value
 
 
-def _merged_options(inv: CliInvocation) -> dict:
+def _merged_options(command: str, flags: dict, config_path: str | None) -> dict:
     """The run's options: flags over config values over the table's defaults.
 
-    Defaults fill exactly the options the run takes; for verify, those
-    of its --kind, where an option of another kind is an error.
+    flags holds every dest of the subcommand, None where no flag was
+    given.  Defaults fill exactly the options the run takes; for
+    verify, those of its --kind, where an option of another kind is an
+    error.
     """
-    merged = dict(inv.flags)
-    if inv.config_path is not None:
-        with open(inv.config_path, encoding="utf-8") as fh:
+    merged = dict(flags)
+    if config_path is not None:
+        with open(config_path, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
-            raise ConfigError(f"config file {inv.config_path} must hold a JSON object")
+            raise ConfigError(f"config file {config_path} must hold a JSON object")
         for key, value in raw.items():
             dest = key.replace("-", "_")
             if dest not in merged:
-                raise ConfigError(f"config key {key!r} is not a flag of subcommand {inv.subcommand!r}")
+                raise ConfigError(f"config key {key!r} is not a flag of subcommand {command!r}")
             value = _config_value(key, value, dest)
             if merged[dest] is None:
                 merged[dest] = value
     opts = {k: v for k, v in merged.items() if v is not None}
-    takes = _takes(inv.subcommand)
-    if inv.subcommand == "verify":
+    takes = _takes(command)
+    if command == "verify":
         if "kind" not in opts:
             raise ConfigError("verify requires --kind")
         takes &= _takes(opts["kind"]) | {"kind", "gate_sigma"}
@@ -280,36 +265,18 @@ def table_from_json(text: str) -> ResultTable:
     return ResultTable(rows, obj["metadata"])
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _write_out(out: str | None, text) -> int:
+    """Write text() to the file `out`, or to stdout when out is None.
 
-
-def emit_results(table: ResultTable, fmt: str, stream) -> None:
-    """Write a result table to a text stream as CSV (rows only) or JSON (with metadata)."""
-    if fmt == "json":
-        stream.write(table_to_json(table))
-    elif fmt == "csv":
-        stream.write(table_to_csv(table))
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
-
-
-def _cmd_experiment(inv: CliInvocation, opts: dict) -> int:
-    cfg = _experiment_config(inv.subcommand, opts)
-    parallelism = check_parallelism(opts["parallelism"])
-    out = opts.get("out")
-    # opened after every usage check and before sampling, so that a usage
-    # error leaves no file behind and a bad path fails before any draw
+    The caller makes its usage checks first; the file is opened before
+    text() is called, so that a bad path fails before any draw, and a
+    text() that fails leaves no file behind.
+    """
     stream = sys.stdout if out is None else open(out, "w", encoding="utf-8", newline="\n")
     try:
-        emit_results(_run(cfg, parallelism), opts["format"], stream)
+        stream.write(text())
     except BaseException:
-        # a failed run leaves no file behind either; a device or pipe given
-        # as --out is not the run's to delete
+        # a device or pipe given as --out is not the run's to delete
         if stream is not sys.stdout and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
             stream.close()
             os.remove(out)
@@ -318,6 +285,14 @@ def _cmd_experiment(inv: CliInvocation, opts: dict) -> int:
         if stream is not sys.stdout:
             stream.close()
     return 0
+
+
+def _cmd_experiment(command: str, opts: dict) -> int:
+    cfg = _experiment_config(command, opts)
+    parallelism = check_parallelism(opts["parallelism"])
+    # CSV holds the rows only, JSON the metadata too
+    emit = table_to_json if opts["format"] == "json" else table_to_csv
+    return _write_out(opts.get("out"), lambda: emit(_run(cfg, parallelism)))
 
 
 def _closed_forms(da: int, db: int) -> list[tuple[str, Fraction]]:
@@ -331,10 +306,9 @@ def _closed_forms(da: int, db: int) -> list[tuple[str, Fraction]]:
     ]
 
 
-def _cmd_table(opts: dict) -> int:
-    da, db = _dims(opts)
+def _table_text(da: int, db: int, fmt: str) -> str:
     values = _closed_forms(da, db)
-    if opts["format"] == "json":
+    if fmt == "json":
         payload = {
             "d_a": da,
             "d_b": db,
@@ -344,14 +318,16 @@ def _cmd_table(opts: dict) -> int:
                 for name, v in values
             },
         }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = ["quantity,numerator,denominator,value"]
-        for name, v in values:
-            lines.append(f"{name},{v.numerator},{v.denominator},{_fmt(float(v))}")
-        text = "\n".join(lines) + "\n"
-    _write_text(text, opts.get("out"))
-    return 0
+        return json.dumps(payload, indent=2) + "\n"
+    lines = ["quantity,numerator,denominator,value"]
+    for name, v in values:
+        lines.append(f"{name},{v.numerator},{v.denominator},{_fmt(float(v))}")
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_table(opts: dict) -> int:
+    da, db = _dims(opts)
+    return _write_out(opts.get("out"), lambda: _table_text(da, db, opts["format"]))
 
 
 def _cmd_verify(opts: dict) -> int:
@@ -399,15 +375,16 @@ def _cmd_fit(opts: dict) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        inv = parse_invocation(sys.argv[1:] if argv is None else argv)
-        opts = _merged_options(inv)
-        if inv.subcommand == "table":
+        flags = vars(build_parser()[0].parse_args(sys.argv[1:] if argv is None else argv))
+        command, config_path = flags.pop("command"), flags.pop("config")
+        opts = _merged_options(command, flags, config_path)
+        if command == "table":
             return _cmd_table(opts)
-        if inv.subcommand == "verify":
+        if command == "verify":
             return _cmd_verify(opts)
-        if inv.subcommand == "fit":
+        if command == "fit":
             return _cmd_fit(opts)
-        return _cmd_experiment(inv, opts)
+        return _cmd_experiment(command, opts)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
     except NumericalError as exc:

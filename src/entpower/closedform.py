@@ -21,6 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ensembles import BipartiteDims
+
 __all__ = [
     "CaseTag",
     "FitResult",
@@ -43,12 +45,6 @@ class CaseTag(Enum):
     C_COE_REAL = "c"
 
 
-def _check_dims(d_a: int, d_b: int) -> int:
-    if d_a < 1 or d_b < 1:
-        raise ValueError(f"subsystem dimensions must be >= 1, got ({d_a}, {d_b})")
-    return d_a * d_b
-
-
 def ep1(case: CaseTag, d_a: int, d_b: int) -> Fraction:
     """Mean linear entropy after one application, exact.
 
@@ -60,7 +56,7 @@ def ep1(case: CaseTag, d_a: int, d_b: int) -> Fraction:
 
     with s = d_a + d_b.
     """
-    d = _check_dims(d_a, d_b)
+    d = BipartiteDims(d_a, d_b).d
     if case is CaseTag.A_CUE_COMPLEX:
         return Fraction(d - (d_a + d_b) + 1, d + 1)
     s = d_a + d_b
@@ -73,7 +69,7 @@ def op_ent_cue(d_a: int, d_b: int) -> Fraction:
 
     Reduces to (q^2 - 1)/(q^2 + 1) for d_a = d_b = q.
     """
-    d = _check_dims(d_a, d_b)
+    d = BipartiteDims(d_a, d_b).d
     if d < 2:
         raise ValueError("operator entanglement average is undefined for d = 1")
     return Fraction(d * d - (d_a * d_a + d_b * d_b) + 1, d * d - 1)
@@ -95,7 +91,7 @@ def ep_inf(case: CaseTag, d_a: int, d_b: int) -> Fraction:
 
     q = d_a^2 + d_b^2.
     """
-    d = _check_dims(d_a, d_b)
+    d = BipartiteDims(d_a, d_b).d
     if case is CaseTag.A_CUE_COMPLEX:
         return ep1(CaseTag.B_COE_COMPLEX, d_a, d_b)
     s = d_a + d_b
@@ -210,7 +206,7 @@ class FitGate:
 
 def gate_form_factor_fit(ns: np.ndarray, values: np.ndarray, stderrs, d_a: int, d_b: int) -> FitGate:
     """Fit and gate a CUE entropy curve (ns, values) reaching n = 2d, with each mean's stderr."""
-    d = _check_dims(d_a, d_b)
+    d = BipartiteDims(d_a, d_b).d
     fit = fit_form_factor_model(ns, values, d)
     pooled = float(np.sqrt(np.mean(np.asarray(stderrs) ** 2)))
     plateau = float(model_prediction(fit, np.array([2 * d]), d)[0])

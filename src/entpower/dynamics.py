@@ -7,8 +7,8 @@ H + cK (c a fixed irrational) yields Z, and the phases are read off
 diag(Z^dag U Z).  A symmetric (COE) U has real commuting parts Re U and
 Im U, and takes one real eigensolver call, whose eigenvectors stay
 real: U = O diag(e^{i phi}) O^T with O real orthogonal (float64), so
-that the phase and reconstruction products, and the asymptote's
-reduced densities and Gram matrices, run in real arithmetic.  Every
+that the phase and reconstruction products, and the eigenvectors' own
+purities in the asymptote, run in real arithmetic.  Every
 decomposition is checked by its reconstruction; the rare one that
 fails (two phases with cos(phi_a - theta) = cos(phi_b - theta),
 theta = atan c, share an eigenvalue of H + cK) is redone by a second
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import BipartiteDims
-from .entanglement import _b_major, _scratch, purity_batch, reduced_density_batch
+from .entanglement import _scratch, purity_batch
 
 __all__ = [
     "SpectralBlock",
@@ -332,6 +332,17 @@ def _pair_clusters(phases: np.ndarray) -> tuple[np.ndarray, list]:
     return resonant, clusters
 
 
+def _cluster_purity(y: np.ndarray, a: np.ndarray, c: np.ndarray, dims: BipartiteDims) -> float:
+    """<P|F_A|P> for P = Y M Y^T, the d x d matrix of sum y_a (x) y_c over the ordered pairs (a, c), (c, a).
+
+    y holds the columns y_a, and M the 0/1 marks of the pairs a[j], c[j].
+    """
+    m = np.zeros((dims.d, dims.d))
+    m[a, c] = m[c, a] = 1.0
+    p = (y @ m @ y.T).reshape(dims.d_a, dims.d_b, dims.d_a, dims.d_b)
+    return np.vdot(p, p.transpose(2, 1, 0, 3)).real
+
+
 def asymptotic_entropies(block: SpectralBlock, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Infinite-time averages of S_L(U^n psi) from the eigenphase pairing.
 
@@ -340,17 +351,21 @@ def asymptotic_entropies(block: SpectralBlock, states: np.ndarray) -> tuple[np.n
     two A factors) oscillates with the pair sums phi_a + phi_c, and
     its time average is sum_K <P_K|F_A|P_K> over the clusters K of
     equal pair sums, P_K = sum_{(a,c) in K} y_a (x) y_c.  Clusters of
-    one pair {(a, c), (c, a)} sum to, with p_a = |<z_a|psi>|^2,
+    one pair {(a, c), (c, a)} sum to, with p_a = |<z_a|psi>|^2 and
+    sigma = sum_a p_a |z_a><z_a|,
 
-        <S_L> = 1 - sum_ab p_a p_b (T^A_ab + T^B_ab) + sum_a p_a^2 T^A_aa
+        <S_L> = 1 - tr sigma_A^2 - tr sigma_B^2 + sum_a p_a^2 tr (rho_A^a)^2
 
-    where T^A_ab = tr(rho_A^a rho_A^b) is the Gram matrix of the
-    eigenvectors' reduced densities, likewise T^B; the last term
-    removes the double count of a = b (T^A_aa = T^B_aa).  Every sample
-    takes this formula, and each cluster of more than one pair (a
-    degenerate phase, or phi_a + phi_c = phi_b + phi_e) adds
-    <P_K|F_A|P_K> less its pairs' Gram terms, with P_K = Y M_K Y^T
-    (columns y_a, M_K the 0/1 marks of K's ordered pairs) a d x d matrix.
+    where rho_A^a is the reduced density of z_a; the last term removes
+    the double count of a = c.  sigma_A and sigma_B are the reduced
+    densities of the purification sum_e sqrt(p_e) z_e (x) e_e of sigma
+    across A | BE and B | AE, so the three terms are three calls of
+    :func:`~entpower.entanglement.purity_batch`.  The purification goes
+    in as complex128 even for a real block, so that a real block gives
+    its complex copy's values bit for bit.  Every sample takes this
+    formula, and each cluster of more than one pair (a degenerate phase,
+    or phi_a + phi_c = phi_b + phi_e) adds <P_K|F_A|P_K> less the same
+    expression over each of its pairs.
 
     Sums less than delta = 1e-9 apart share a cluster, so for them the
     value is the average over times much shorter than 1/delta; for
@@ -359,28 +374,22 @@ def asymptotic_entropies(block: SpectralBlock, states: np.ndarray) -> tuple[np.n
     states (k, d) -> (values (k,), resonant (k,)), resonant marking
     the samples with a cluster of more than one pair.
     """
-    d_a, d_b, d = block.dims.d_a, block.dims.d_b, block.dims.d
+    dims = block.dims
+    d_a, d_b, d = dims.d_a, dims.d_b, dims.d
     z = block.vectors
     k = len(z)
     coeffs = _coefficients(block, states)
     p = np.abs(coeffs) ** 2
-    rho_a = reduced_density_batch(z, d_a, d_b).reshape(k, d, -1)
-    rho_b = reduced_density_batch(_b_major(z, d_a, d_b), d_b, d_a).reshape(k, d, -1)
-    # np.conjugate copies even a real array: numpy multiplies an array by
-    # its own transpose on a stacked syrk path, slower here than the gemm
-    t_a = (rho_a @ np.conjugate(rho_a).swapaxes(-1, -2)).real
-    t_b = (rho_b @ np.conjugate(rho_b).swapaxes(-1, -2)).real
-    pair = (p[:, None, :] @ (t_a + t_b) @ p[:, :, None])[:, 0, 0]
-    avg_purity = pair - np.sum(p * p * np.diagonal(t_a, axis1=-2, axis2=-1), axis=-1)
+    # one column per sample, indexed (a b e): the purification of sigma
+    pure = (z * np.sqrt(p)[:, None, :]).astype(np.complex128, copy=False).reshape(k, d * d, 1)
+    b_major = pure.reshape(k, d_a, d_b, d).swapaxes(1, 2).reshape(k, d * d, 1)
+    avg_purity = (purity_batch(pure, d_a, d_b * d)[:, 0] + purity_batch(b_major, d_b, d_a * d)[:, 0]
+                  - np.sum(p * p * purity_batch(z, d_a, d_b), axis=-1))
     resonant, clusters = _pair_clusters(block.phases)
     for i, a, c in clusters:
-        m = np.zeros((d, d))
-        m[a, c] = m[c, a] = 1.0
         y = z[i] * coeffs[i]
-        pk = (y @ m @ y.T).reshape(d_a, d_b, d_a, d_b)
-        own = (p[i] @ (m * (t_a[i] + t_b[i])) @ p[i]
-               - np.sum(np.diagonal(m) * p[i] * p[i] * np.diagonal(t_a[i])))
-        avg_purity[i] += np.vdot(pk, pk.transpose(2, 1, 0, 3)).real - own
+        avg_purity[i] += _cluster_purity(y, a, c, dims) - sum(
+            _cluster_purity(y, aj, cj, dims) for aj, cj in zip(a, c))
     return 1.0 - avg_purity, resonant
 
 

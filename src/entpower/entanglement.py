@@ -1,21 +1,22 @@
-"""Linear entropy of batches of states, the package's one reduced-density kernel.
+"""Linear entropy of batches of states, the package's one purity kernel.
 
 A column state with amplitude matrix M (shape (d_a, d_b), A-major
-flattening) has rho_A = M M^dag; :func:`reduced_density_batch` does this
-for a whole batch of columns as one batched matmul, and
+flattening) has rho_A = M M^dag, and
 
     S_L = 1 - tr rho_A^2 = 1 - ||M M^dag||_F^2.
 
-:func:`purity_batch` forms the same product in the calling thread's
-scratch arrays, which it reuses from call to call, and returns a fresh
-array; :func:`reduced_density_batch` returns rho_A itself and
-allocates.  A single state is a batch of one column.  Operators go
-through the same kernel: the Choi vector vec(U) / sqrt(d), indexed
-(A_out A_in | B_out B_in), is a unit vector whose linear entropy across
-that split is the operator entanglement of U (Zanardi, PRA 63,
-040304(R) (2001)); see
-:func:`~entpower.dynamics.operator_curves`.  The literal eightfold index
-sum it is checked against is a test oracle (``tests/oracles.py``).
+:func:`purity_batch` forms that product for a whole batch of columns
+in the calling thread's scratch arrays, which it reuses from call to
+call, and returns a fresh array.  A single state is a batch of one
+column.  Operators go through the same kernel: the Choi vector
+vec(U) / sqrt(d), indexed (A_out A_in | B_out B_in), is a unit vector
+whose linear entropy across that split is the operator entanglement of
+U (Zanardi, PRA 63, 040304(R) (2001)); see
+:func:`~entpower.dynamics.operator_curves`.  So is the infinite-time
+average: its pair sums are purities of a purification, see
+:func:`~entpower.dynamics.asymptotic_entropies`.  The literal eightfold
+index sum the operator route is checked against is a test oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import threading
 import numpy as np
 
 __all__ = [
-    "reduced_density_batch",
     "purity_batch",
 ]
 
@@ -50,15 +50,6 @@ def _scratch(name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
     return array
 
 
-def reduced_density_batch(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """rho_A = M M^dag for a batch of column states, shape (..., d, n) -> (..., n, d_a, d_a).
-
-    Leading axes stack batches.
-    """
-    m = states.swapaxes(-1, -2).reshape(*states.shape[:-2], states.shape[-1], d_a, d_b)
-    return m @ m.conj().swapaxes(-1, -2)
-
-
 def purity_batch(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """tr rho_A^2 for a batch of column states, shape (..., d, n) -> (..., n).
 
@@ -68,16 +59,12 @@ def purity_batch(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     otherwise numpy multiplies the strided blocks in its own loop.
     conj(M) and rho_A = M M^dag live in the calling thread's scratch
     arrays.  The squared moduli are summed as one real dot product per
-    state over the float64 view of rho_A.
+    state over the float64 view of rho_A; a real rho_A is summed
+    through its complex copy, so that real states give the purities of
+    their complex copies bit for bit.
     """
     m = states.swapaxes(-1, -2).reshape(*states.shape[:-2], states.shape[-1], d_a, d_b)
     conj = np.conjugate(m, out=_scratch("conj", m.shape, m.dtype))
     rho = np.matmul(m, conj.swapaxes(-1, -2), out=_scratch("rho", (*m.shape[:-1], d_a), m.dtype))
-    flat = rho.view(np.float64).reshape(*rho.shape[:-2], -1)
+    flat = rho.astype(np.complex128, copy=False).view(np.float64).reshape(*rho.shape[:-2], -1)
     return (flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
-
-
-def _b_major(states: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    # psi[(a b)] -> psi[(b a)] for each column of (..., d, n): the kernel then traces out A
-    lead, n = states.shape[:-2], states.shape[-1]
-    return states.reshape(*lead, d_a, d_b, n).swapaxes(-3, -2).reshape(states.shape)

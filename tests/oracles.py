@@ -3,8 +3,9 @@
 Each one takes the slow, literal route on purpose and shares as little
 as it can with the code it checks: a sample drawn piece by piece from
 its own Philox generator, the eightfold index sum of the operator
-entanglement, and the brute-force time average of the linear entropy.
-None of them is part of the package.
+entanglement, the brute-force time average of the linear entropy, and
+the Gram-matrix form of its infinite-time average.  None of them is
+part of the package.
 """
 
 import numpy as np
@@ -109,3 +110,29 @@ def time_average_entropy(u, psi, dims, n_total: int = 100_000, symmetric: bool =
         ns = range(start, min(start + _TIME_AVERAGE_CHUNK, n_total + 1))
         total += float(np.sum(_entropies(block, coeffs, ns)))
     return total / n_total
+
+
+def asymptotic_entropy_gram(vectors, states, dims):
+    """Infinite-time average entropy of each sample from the Gram matrices of its eigenvectors.
+
+    vectors (k, d, d) holds each unitary's eigenvectors as columns z_a,
+    states (k, d) the initial states.  With p_a = |<z_a|psi>|^2 and
+    T^A_ab = tr(rho_A^a rho_A^b) over the eigenvectors' reduced
+    densities, likewise T^B,
+
+        <S_L> = 1 - sum_ab p_a p_b (T^A_ab + T^B_ab) + sum_a p_a^2 T^A_aa.
+
+    Exact only for samples whose pair sums phi_a + phi_c (a <= c) are
+    distinct: it omits the cross terms of a resonant cluster.
+    """
+    d_a, d_b = dims.d_a, dims.d_b
+    z = np.asarray(vectors, dtype=np.complex128)
+    k, d, _ = z.shape
+    z4 = z.reshape(k, d_a, d_b, d)
+    p = np.abs(np.einsum("sxa,sx->sa", z.conj(), states)) ** 2
+    rho_a = np.einsum("sxya,swya->saxw", z4, z4.conj())
+    rho_b = np.einsum("sxya,sxwa->sayw", z4, z4.conj())
+    t_a = np.einsum("saxw,sbwx->sab", rho_a, rho_a).real
+    t_b = np.einsum("sayw,sbwy->sab", rho_b, rho_b).real
+    pair = np.einsum("sa,sab,sb->s", p, t_a + t_b, p)
+    return 1.0 - pair + np.einsum("sa,sa,saa->s", p, p, t_a)

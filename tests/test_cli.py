@@ -464,6 +464,33 @@ def test_table_json(capsys):
     assert Fraction(v["numerator"], v["denominator"]) == Fraction(4, 7)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_out_file_holds_stdouts_bytes(capsys, tmp_path, fmt):
+    argv = ["table", "--da", "4", "--db", "5", "--format", fmt]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    path = tmp_path / f"t.{fmt}"
+    assert run_cli(capsys, argv + ["--out", str(path)]) == (0, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+def test_table_bad_dims_exit_two_leaving_no_out_file(capsys, tmp_path):
+    path = tmp_path / "t.csv"
+    code, out, err = run_cli(capsys, ["table", "--da", "0", "--db", "2", "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: subsystem dimensions") and len(err.splitlines()) == 1
+    assert not path.exists()
+
+
+def test_table_out_in_missing_directory_exits_three(capsys, tmp_path):
+    code, out, err = run_cli(capsys, ["table", "--da", "2", "--db", "2",
+                                      "--out", str(tmp_path / "missing" / "t.csv")])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("i/o error: ") and len(err.splitlines()) == 1
+
+
 def test_verify_cue_ep_curve_passes(capsys):
     code, out, _ = run_cli(capsys, [
         "verify", "--kind", "ep-curve", "--da", "2", "--db", "3",

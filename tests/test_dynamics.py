@@ -28,9 +28,15 @@ from entpower.ensembles import (
     basis_product_state,
     sample_block,
 )
-from entpower.entanglement import purity_batch, reduced_density_batch
+from entpower.entanglement import purity_batch
 
-from oracles import operator_entanglement_naive, stream, time_average_entropy, unit_vector
+from oracles import (
+    asymptotic_entropy_gram,
+    operator_entanglement_naive,
+    stream,
+    time_average_entropy,
+    unit_vector,
+)
 
 DIMS45 = BipartiteDims(4, 5)
 
@@ -217,6 +223,23 @@ def test_asymptotic_matches_time_average_coe_random_real_state():
     spectral = asymptote(u[0], psi[0], symmetric=True)
     direct = time_average_entropy(u[0], psi[0], DIMS45, 100_000, symmetric=True)
     assert abs(spectral - direct) < 1e-4
+
+
+@pytest.mark.parametrize("d_a,d_b", [(1, 3), (3, 1), (2, 2), (2, 3), (5, 4), (4, 5)])
+@pytest.mark.parametrize("ensemble,field_tag", [
+    (EnsembleTag.CUE, FieldTag.COMPLEX),
+    (EnsembleTag.COE, FieldTag.REAL),
+    (EnsembleTag.COE, FieldTag.COMPLEX),
+], ids=["cue-complex", "coe-real", "coe-complex"])
+def test_asymptotic_matches_gram_oracle(ensemble, field_tag, d_a, d_b):
+    # the purities of the purification against the eigenvectors' Gram matrices,
+    # on blocks whose pair sums are all distinct
+    dims = BipartiteDims(d_a, d_b)
+    u, states = sample_block(ensemble, dims, field_tag, PhiloxStreams(61), 0, 16)
+    block = decompose_block(u, dims, symmetric=ensemble is EnsembleTag.COE)
+    values, resonant = asymptotic_entropies(block, states)
+    assert not resonant.any()
+    assert np.max(np.abs(values - asymptotic_entropy_gram(block.vectors, states, dims))) < 1e-13
 
 
 def test_asymptotic_of_diagonal_map_is_zero():
@@ -437,8 +460,7 @@ def kernel_results(seed):
     block = decompose_block(draws(EnsembleTag.CUE, seed, count=3), DIMS45)
     states = np.stack([unit_vector(stream(seed, 10 + i), 20, FieldTag.COMPLEX) for i in range(3)])
     return [entropy_curves(block, states, 6), operator_curves(block, 6),
-            purity_batch(states.T, 4, 5), reduced_density_batch(states.T, 4, 5),
-            *asymptotic_entropies(block, states)]
+            purity_batch(states.T, 4, 5), *asymptotic_entropies(block, states)]
 
 
 def test_kernel_results_never_share_scratch_memory():

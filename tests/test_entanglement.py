@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from entpower.ensembles import BipartiteDims, EnsembleTag, FieldTag, PhiloxStreams, sample_block
 from entpower.dynamics import decompose_block, operator_curves
-from entpower.entanglement import _b_major, purity_batch, reduced_density_batch
+from entpower.entanglement import purity_batch
 
 from oracles import haar_unitary, operator_entanglement_naive, stream, unit_vector
 
@@ -19,13 +19,6 @@ def random_bipartite_state(d_a, d_b, seed):
 def cue_draws(dims, seed, count=1):
     """CUE unitaries of samples 0..count-1 under master seed `seed`, through the run's sampler."""
     return sample_block(EnsembleTag.CUE, dims, None, PhiloxStreams(seed), 0, count)[0]
-
-
-def densities(psi, d_a, d_b):
-    """rho_A and rho_B of one state, each from the batched kernel on a batch of one."""
-    column = psi[:, None]
-    return (reduced_density_batch(column, d_a, d_b)[0],
-            reduced_density_batch(_b_major(column, d_a, d_b), d_b, d_a)[0])
 
 
 def state_entropy(psi, d_a, d_b):
@@ -48,24 +41,7 @@ def swap_unitary():
 def test_reduced_density_of_product_state():
     rng = stream(3, 0)
     psi = np.kron(unit_vector(rng, 3, FieldTag.COMPLEX), unit_vector(rng, 4, FieldTag.COMPLEX))
-    rho_a, _ = densities(psi, 3, 4)
-    assert rho_a.shape == (3, 3)
-    assert abs(np.sum(np.abs(rho_a) ** 2) - 1.0) < 1e-12
-
-
-def test_reduced_density_of_bell_state():
-    rho_a, _ = densities(BELL, 2, 2)
-    assert np.allclose(rho_a, np.eye(2) / 2, atol=1e-14)
-
-
-@given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32))
-def test_reduced_density_contract(d_a, d_b, seed):
-    psi = random_bipartite_state(d_a, d_b, seed)
-    for rho, dim in zip(densities(psi, d_a, d_b), (d_a, d_b)):
-        assert rho.shape == (dim, dim)
-        assert abs(np.trace(rho) - 1.0) < 1e-12
-        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
-        assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
+    assert abs(purity_batch(psi[:, None], 3, 4)[0] - 1.0) < 1e-12
 
 
 def test_linear_entropy_of_bell_state():
@@ -77,8 +53,22 @@ def test_linear_entropy_bounds_and_ab_symmetry(d_a, d_b, seed):
     psi = random_bipartite_state(d_a, d_b, seed)
     s = state_entropy(psi, d_a, d_b)
     assert -1e-12 <= s <= 1.0 - 1.0 / min(d_a, d_b) + 1e-12
-    s_b = 1.0 - np.sum(np.abs(densities(psi, d_a, d_b)[1]) ** 2)
+    # psi[(a b)] -> psi[(b a)]: the kernel then traces out A
+    b_major = psi.reshape(d_a, d_b).T.reshape(-1)
+    s_b = state_entropy(b_major, d_b, d_a)
     assert abs(s - s_b) < 1e-10
+
+
+@pytest.mark.parametrize("d_a,d_b", [(1, 3), (2, 2), (2, 3), (4, 5), (5, 4)])
+def test_purity_of_a_real_batch_is_its_complex_copys(d_a, d_b):
+    # a real batch is summed through its complex copy: the same purities bit for bit,
+    # with strided columns and with the contiguous ones of an n-major array
+    rows = stream(11, d_a * d_b).standard_normal((3, 7, d_a * d_b))
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    for columns in (np.ascontiguousarray(rows.swapaxes(-1, -2)), rows.swapaxes(-1, -2)):
+        real = purity_batch(columns, d_a, d_b)
+        assert real.shape == (3, 7)
+        assert np.array_equal(real, purity_batch(columns.astype(np.complex128), d_a, d_b))
 
 
 def test_operator_entanglement_identity():
