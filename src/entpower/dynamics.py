@@ -374,8 +374,7 @@ def asymptotic_entropies(block: SpectralBlock, states: np.ndarray) -> tuple[np.n
     states (k, d) -> (values (k,), resonant (k,)), resonant marking
     the samples with a cluster of more than one pair.
     """
-    dims = block.dims
-    d_a, d_b, d = dims.d_a, dims.d_b, dims.d
+    d_a, d_b, d = block.dims.d_a, block.dims.d_b, block.dims.d
     z = block.vectors
     k = len(z)
     coeffs = _coefficients(block, states)
@@ -388,8 +387,8 @@ def asymptotic_entropies(block: SpectralBlock, states: np.ndarray) -> tuple[np.n
     resonant, clusters = _pair_clusters(block.phases)
     for i, a, c in clusters:
         y = z[i] * coeffs[i]
-        avg_purity[i] += _cluster_purity(y, a, c, dims) - sum(
-            _cluster_purity(y, aj, cj, dims) for aj, cj in zip(a, c))
+        avg_purity[i] += _cluster_purity(y, a, c, block.dims) - sum(
+            _cluster_purity(y, aj, cj, block.dims) for aj, cj in zip(a, c))
     return 1.0 - avg_purity, resonant
 
 
