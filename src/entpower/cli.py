@@ -54,7 +54,6 @@ _STATE_MODES = {
     "random-complex": StateMode.RANDOM_COMPLEX_PRODUCT,
     "random-real": StateMode.RANDOM_REAL_PRODUCT,
 }
-_ENSEMBLES = {"cue": EnsembleTag.CUE, "coe": EnsembleTag.COE}
 _COMMAND_KINDS = {
     "ep-curve": ExperimentKind.EP_CURVE,
     "opent-curve": ExperimentKind.OPENT_CURVE,
@@ -77,7 +76,7 @@ _OPTIONS = {
     "nmax": (int, None, None, "largest iteration count (default 2*da*db)"),
     "samples": (int, None, 100_000, "Monte Carlo samples"),
     "seed": (int, None, None, "master seed (default: RMT_SEED env, then 0)"),
-    "ensemble": (str, tuple(sorted(_ENSEMBLES)), "cue", "unitary ensemble"),
+    "ensemble": (str, tuple(sorted(tag.value for tag in EnsembleTag)), "cue", "unitary ensemble"),
     "state": (str, tuple(sorted(_STATE_MODES)), "fixed", "initial product state mode"),
     "parallelism": (int, None, 1, "worker threads"),
     "kind": (str, tuple(_COMMAND_KINDS), None, "experiment to run and gate"),
@@ -220,7 +219,7 @@ def _experiment_config(name: str, opts: dict) -> ExperimentConfig:
     kind = ExperimentKind.FOURTH_MOMENT if opts.get("moment") == 4 else _COMMAND_KINDS[name]
     return ExperimentConfig(
         kind=kind,
-        ensemble=_ENSEMBLES[opts["ensemble"]],
+        ensemble=EnsembleTag(opts["ensemble"]),
         # a run has a state iff its subcommand (verify: its --kind) takes --state
         state_mode=_STATE_MODES[opts["state"]] if "state" in opts else StateMode.NONE,
         d_a=da,

@@ -18,7 +18,6 @@ import ctypes
 import functools
 import os
 import platform
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-import scipy
+from numpy.linalg import _umath_linalg
 
 from . import __version__
 from .closedform import CaseTag, cue_form_factor, cue_fourth_moment, ep1, ep_inf, op_ent_cue
@@ -72,11 +71,11 @@ CHUNK_SIZE = 512
 BLOCK_SIZE = 16
 _STAGES = ("sample", "decompose", "observe", "accumulate")
 _ASYMPTOTIC_N = -1
-# BLAS thread settings worth echoing; they set the OpenBLAS counts that a
+# BLAS thread settings worth echoing; they set the OpenBLAS count that a
 # run finds, pins to one and restores
 _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-# thread-count entry points of the OpenBLAS builds numpy and scipy ship,
-# with {} standing for get or set
+# thread-count entry points of the OpenBLAS builds numpy ships, with {}
+# standing for get or set
 _OPENBLAS_THREAD_CALLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
                           "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
@@ -345,86 +344,62 @@ def _merge_chunks(parts):
     return count, mean, m2, tally
 
 
+@functools.cache
 def _openblas() -> tuple:
-    """(file name, get, set) of the thread count of every OpenBLAS library loaded.
+    """(get, set) of the thread count of the OpenBLAS that numpy calls.
 
-    The libraries are the ones mapped into the process: numpy's, and
-    scipy's once the caller has imported scipy.linalg.  They are listed
-    again only when the number of imported modules has changed since
-    the last listing, which an import that maps a library changes, so
-    that runs do not read the process map each time.  () where none is
-    found or the process map cannot be read.
+    Looked up once on the handle of numpy's linalg extension, which also
+    finds the symbols of the libraries that extension links, wherever
+    numpy installed them.  () where numpy links another BLAS or the
+    lookup fails.
     """
-    return _openblas_listed(len(sys.modules))
-
-
-@functools.lru_cache(maxsize=1)
-def _openblas_listed(module_count: int) -> tuple:
-    """The libraries of :func:`_openblas`, listed with `module_count` modules imported."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line and line.split()[-1].startswith("/")})
+        lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return ()
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for call in _OPENBLAS_THREAD_CALLS:
-            get = getattr(lib, call.format("get"), None)
-            set_ = getattr(lib, call.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((os.path.basename(path), get, set_))
-                break
-    return tuple(found)
-
-
-def _blas_threads() -> dict[str, int]:
-    """The thread count of every OpenBLAS library found, by file name."""
-    return {name: get() for name, get, _ in _openblas()}
+    for call in _OPENBLAS_THREAD_CALLS:
+        get = getattr(lib, call.format("get"), None)
+        set_ = getattr(lib, call.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return ()
 
 
 class _BlasPin:
-    """OpenBLAS pinned to one thread while any run is inside, the counts before restored after.
+    """numpy's OpenBLAS held at one thread while any run is inside, its count restored after.
 
     Worker threads supply a run's parallelism; OpenBLAS threads on top
     of them spin between the many small calls and compete for the same
-    cores.  The count is one per library and process, so concurrent runs
-    share the pin: the first one in saves the counts and pins, a run
-    entering later also pins any library loaded since, and the last one
-    out restores every count saved.  Entering gives each library's count
-    before the pin and the count in use, as {name: {"before": n, "run": 1}};
-    with no OpenBLAS found the pin does nothing and gives {}.
+    cores.  The count is one per process, so concurrent runs share the
+    pin: the first one in saves the count and pins, and the last one out
+    restores it.  Entering gives the count before the pin and the count
+    in use, as {"before": n, "run": 1}; with no OpenBLAS found the pin
+    does nothing and gives {}.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._depth = 0
-        self._saved: dict[str, tuple] = {}  # name -> (count before the pin, set)
+        self._before = None  # the count before the pin, while any run is inside
 
-    def __enter__(self) -> dict[str, dict[str, int]]:
+    def __enter__(self) -> dict[str, int]:
         with self._lock:
-            libraries = _openblas()
-            for name, get, set_threads in libraries:
-                if name not in self._saved:
-                    self._saved[name] = (get(), set_threads)
-                    set_threads(1)
             self._depth += 1
-            return {name: {"before": self._saved[name][0], "run": get()}
-                    for name, get, _ in libraries}
+            if not _openblas():
+                return {}
+            get, set_threads = _openblas()
+            if self._depth == 1:
+                self._before = get()
+                set_threads(1)
+            return {"before": self._before, "run": get()}
 
     def __exit__(self, *exc_info) -> None:
         with self._lock:
             self._depth -= 1
-            if self._depth == 0:
-                for before, set_threads in self._saved.values():
-                    set_threads(before)
-                self._saved = {}
+            if self._depth == 0 and _openblas():
+                _openblas()[1](self._before)
 
 
 _BLAS_PIN = _BlasPin()
@@ -448,16 +423,15 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
     samples whose pair sums resonate (ASYMPTOTIC only, else 0);
     "timings" the seconds spent in each stage, summed over all blocks,
     chunks and worker threads, so that with parallelism > 1 they can
-    add up to more than "wall_seconds".  "env" records the Python,
-    numpy and scipy versions, the CPU count, the parallelism and any
-    BLAS thread variables set, and "blas_threads" each OpenBLAS
-    library's thread count before the run and during it ({} where none
-    is found).
+    add up to more than "wall_seconds".  "env" records the Python and
+    numpy versions, the CPU count, the parallelism and any BLAS thread
+    variables set, and "blas_threads" the thread count of numpy's
+    OpenBLAS before the run and during it ({} where none is found).
 
     Chunks run on a pool of `parallelism` threads: a block's work is
-    large numpy/LAPACK calls that release the GIL.  OpenBLAS runs on one
-    thread for the whole run, and its counts are restored when the last
-    concurrent run returns or raises (see :class:`_BlasPin`).  If a
+    large numpy/LAPACK calls that release the GIL.  numpy's OpenBLAS runs
+    on one thread for the whole run, and its count is restored when the
+    last concurrent run returns or raises (see :class:`_BlasPin`).  If a
     chunk raises (or the caller is interrupted), chunks not yet started
     are cancelled and the exception reaches the caller once the running
     ones finish.  A failed decomposition raises NumericalError, which
@@ -500,7 +474,6 @@ def run_experiment(cfg: ExperimentConfig, parallelism: int = 1) -> ResultTable:
         "env": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
             "parallelism": parallelism,
             "thread_env": {k: os.environ[k] for k in _THREAD_ENV if k in os.environ},

@@ -76,7 +76,7 @@ def evolved_state(u, psi, n):
     return amps / np.linalg.norm(amps)
 
 
-def test_spectral_decompose_diagonal_case():
+def test_decompose_block_diagonal_case():
     block = block_of(diag_unitary([0.0, np.pi / 2]), BipartiteDims(2, 1))
     assert np.allclose(np.sort(block.phases[0]), [0.0, np.pi / 2], atol=1e-12)
     # eigenvectors of a diagonal matrix: standard basis up to order/phase
@@ -138,7 +138,7 @@ def test_matrix_power_unitary_at_long_times():
     assert np.max(np.abs(u200 @ u200.conj().T - np.eye(20))) < 1e-9
 
 
-def test_entropy_series_swap_keeps_product_states():
+def test_entropy_curves_swap_keeps_product_states():
     dims = BipartiteDims(2, 2)
     m = np.zeros((4, 4))
     for a in range(2):
@@ -148,13 +148,13 @@ def test_entropy_series_swap_keeps_product_states():
     assert np.max(np.abs(entropy_curve(m, psi, 6, dims))) < 1e-12
 
 
-def test_entropy_series_diagonal_map_never_entangles():
+def test_entropy_curves_diagonal_map_never_entangles():
     phases = stream(3, 0).uniform(0, 2 * np.pi, 20)
     u = diag_unitary(phases)
     assert np.max(np.abs(entropy_curve(u, basis_product_state(DIMS45), 10))) < 1e-12
 
 
-def test_entropy_series_matches_direct_powers():
+def test_entropy_curves_matches_direct_powers():
     u = cue(17)
     psi = basis_product_state(DIMS45)
     curve = entropy_curve(u, psi, 10)
@@ -164,14 +164,14 @@ def test_entropy_series_matches_direct_powers():
 
 
 @given(st.integers(0, 2**32))
-def test_entropy_series_bounded(seed):
+def test_entropy_curves_bounded(seed):
     dims = BipartiteDims(2, 3)
     curve = entropy_curve(cue(seed, dims=dims), basis_product_state(dims), 12, dims)
     assert np.all(curve > -1e-12)
     assert np.all(curve < 1.0 - 1.0 / 2 + 1e-12)
 
 
-def test_operator_entanglement_series_matches_direct_powers():
+def test_operator_curves_match_direct_powers():
     # the oracle shares neither the synthesis nor the reduced-density kernel;
     # unequal and trivial factors catch a swapped index in the Choi rows
     for d_a, d_b in ((2, 3), (3, 4), (3, 2), (1, 4), (4, 1)):
@@ -409,8 +409,8 @@ def test_pair_indices_are_cached_read_only():
 
 
 def test_run_path_never_imports_scipy_linalg(tmp_path):
-    # the CLI, a run and a redo, in a fresh process: scipy.linalg and its
-    # OpenBLAS stay out of it
+    # the CLI, a run and a redo, in a fresh process: no scipy module, and so
+    # neither scipy.linalg nor its OpenBLAS, is loaded
     entries, _ = resonant_unitaries(False)
     np.save(tmp_path / "resonant.npy", entries)
     script = tmp_path / "run_path.py"
@@ -425,7 +425,7 @@ def test_run_path_never_imports_scipy_linalg(tmp_path):
                 "--out", "curve.csv"]
         assert entpower.cli.main(argv) == 0
         assert decompose_block(np.load("resonant.npy"), BipartiteDims(2, 2)).redos == 1
-        assert "scipy.linalg" not in sys.modules
+        assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         """))
     src = str(Path(entpower.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]

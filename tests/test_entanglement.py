@@ -38,7 +38,7 @@ def swap_unitary():
     return m
 
 
-def test_reduced_density_of_product_state():
+def test_purity_of_product_state():
     rng = stream(3, 0)
     psi = np.kron(unit_vector(rng, 3, FieldTag.COMPLEX), unit_vector(rng, 4, FieldTag.COMPLEX))
     assert abs(purity_batch(psi[:, None], 3, 4)[0] - 1.0) < 1e-12

@@ -214,16 +214,15 @@ def test_metadata_reports_run_environment(monkeypatch):
     cfg = small_config()  # 600 samples = 2 chunks, so parallelism 2 uses the pool
     table = run_experiment(cfg, parallelism=2)
     env = table.metadata["env"]
-    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "parallelism", "thread_env",
+    assert set(env) == {"python", "numpy", "cpu_count", "parallelism", "thread_env",
                         "blas_threads"}
     assert env["python"] == ".".join(map(str, sys.version_info[:3]))
     assert env["numpy"] == np.__version__
-    assert isinstance(env["scipy"], str) and env["scipy"]
     assert env["cpu_count"] == os.cpu_count()
     assert env["parallelism"] == 2
     assert env["thread_env"] == {"OMP_NUM_THREADS": "1"}
-    before = montecarlo._blas_threads()
-    assert env["blas_threads"] == {name: {"before": n, "run": 1} for name, n in before.items()}
+    blas = montecarlo._openblas()
+    assert env["blas_threads"] == ({"before": blas[0](), "run": 1} if blas else {})
     rate = table.metadata["samples_per_second"]
     assert isinstance(rate, float)
     assert rate == pytest.approx(cfg.samples / table.metadata["wall_seconds"])
@@ -251,29 +250,32 @@ def test_failing_chunk_cancels_chunks_not_started(monkeypatch):
     assert len(started) < 8
 
 
+def blas_threads() -> int:
+    """The thread count of numpy's OpenBLAS."""
+    return montecarlo._openblas()[0]()
+
+
 @pytest.fixture
 def blas_two_threads():
-    """Every OpenBLAS found set to two threads, so that a pin to one shows; reset after."""
-    libraries = montecarlo._openblas()
-    if not libraries:
-        pytest.skip("no OpenBLAS library loaded")
-    saved = montecarlo._blas_threads()
-    for _, _, set_threads in libraries:
-        set_threads(2)
+    """numpy's OpenBLAS set to two threads, so that a pin to one shows; reset after."""
+    if not montecarlo._openblas():
+        pytest.skip("numpy links no OpenBLAS")
+    saved = blas_threads()
+    set_threads = montecarlo._openblas()[1]
+    set_threads(2)
     try:
-        yield montecarlo._blas_threads()
+        yield blas_threads()
     finally:
-        for name, _, set_threads in libraries:
-            set_threads(saved[name])
+        set_threads(saved)
 
 
 def _observing_blas_threads(monkeypatch) -> list:
-    """Patch the chunks' observe step to record the BLAS thread counts it runs under."""
+    """Patch the chunks' observe step to record the BLAS thread count it runs under."""
     seen = []
     real = montecarlo._observe
 
     def observe(*args):
-        seen.append(montecarlo._blas_threads())
+        seen.append(blas_threads())
         return real(*args)
 
     monkeypatch.setattr(montecarlo, "_observe", observe)
@@ -285,8 +287,8 @@ def test_blas_runs_one_thread_inside_chunks_and_is_restored(monkeypatch, blas_tw
                                                              parallelism):
     seen = _observing_blas_threads(monkeypatch)
     run_experiment(small_config(), parallelism=parallelism)
-    assert seen and all(set(counts.values()) == {1} for counts in seen)
-    assert montecarlo._blas_threads() == blas_two_threads
+    assert seen and all(count == 1 for count in seen)
+    assert blas_threads() == blas_two_threads
 
 
 def test_blas_threads_restored_after_failing_chunk(monkeypatch, blas_two_threads):
@@ -306,8 +308,8 @@ def test_blas_threads_restored_after_failing_chunk(monkeypatch, blas_two_threads
     for parallelism in (1, 2):
         with pytest.raises(np.linalg.LinAlgError, match="chunk 0 failed"):
             run_experiment(cfg, parallelism=parallelism)
-        assert montecarlo._blas_threads() == blas_two_threads
-    assert all(set(counts.values()) == {1} for counts in seen)
+        assert blas_threads() == blas_two_threads
+    assert all(count == 1 for count in seen)
 
 
 def test_concurrent_runs_share_one_blas_pin(monkeypatch, blas_two_threads):
@@ -338,51 +340,60 @@ def test_concurrent_runs_share_one_blas_pin(monkeypatch, blas_two_threads):
     assert not any(worker.is_alive() for worker in workers)
     assert errors == []
     assert results == [expected] * 6
-    assert all(set(counts.values()) == {1} for counts in seen)
-    assert montecarlo._blas_threads() == blas_two_threads
+    assert all(count == 1 for count in seen)
+    assert blas_threads() == blas_two_threads
 
 
-def test_blas_pin_saves_a_library_that_appears_inside_a_run(monkeypatch):
-    # a library mapped while a run holds the pin: a run entering then pins
-    # it too, and the last one out restores both counts
-    counts = {"a": 3, "b": 4}
-
-    def library(name):
-        return name, lambda: counts[name], lambda n: counts.__setitem__(name, n)
-
-    libraries = [library("a")]
-    monkeypatch.setattr(montecarlo, "_openblas", lambda: tuple(libraries))
-    pin = montecarlo._BlasPin()
-    with pin as outer:
-        assert outer == {"a": {"before": 3, "run": 1}}
-        libraries.append(library("b"))
-        with pin as inner:
-            assert inner == {"a": {"before": 3, "run": 1}, "b": {"before": 4, "run": 1}}
-        assert counts == {"a": 1, "b": 1}
-    assert counts == {"a": 3, "b": 4}
+def test_run_without_openblas_reports_no_blas_threads(monkeypatch):
+    # numpy linked to another BLAS: the pin does nothing and the run goes on
+    cfg = small_config()  # 600 samples = 2 chunks, so parallelism 2 uses the pool
+    expected = run_experiment(cfg).rows
+    monkeypatch.setattr(montecarlo, "_openblas", lambda: ())
+    table = run_experiment(cfg, parallelism=2)
+    assert table.rows == expected
+    assert table.metadata["env"]["blas_threads"] == {}
 
 
-def test_blas_pin_finds_a_library_loaded_after_a_run(tmp_path):
-    # a fresh process: a run, then an import that maps scipy's OpenBLAS, then
-    # a second run, which must pin and report both libraries
-    script = tmp_path / "late_openblas.py"
+def test_run_leaves_scipys_openblas_alone(tmp_path):
+    # a fresh process maps scipy's OpenBLAS beside numpy's and sets it to two
+    # threads; a run calls numpy's alone, so it must not pin scipy's
+    script = tmp_path / "scipy_openblas.py"
     script.write_text(textwrap.dedent("""\
+        import ctypes
         import json
+        from entpower import montecarlo
         from entpower.ensembles import EnsembleTag
         from entpower.montecarlo import ExperimentConfig, ExperimentKind, StateMode, run_experiment
 
         def mapped():
             with open("/proc/self/maps", encoding="utf-8") as fh:
-                return sorted({line.split()[-1] for line in fh
-                               if "openblas" in line and line.split()[-1].startswith("/")})
+                return {line.split()[-1] for line in fh
+                        if "openblas" in line and line.split()[-1].startswith("/")}
 
-        cfg = ExperimentConfig(ExperimentKind.EP_CURVE, EnsembleTag.CUE, StateMode.FIXED_PRODUCT,
-                               2, 2, 2, 32, 5)
-        first = run_experiment(cfg).metadata["env"]["blas_threads"]
         before = mapped()
         import scipy.linalg
-        second = run_experiment(cfg).metadata["env"]["blas_threads"]
-        print(json.dumps({"before": before, "after": mapped(), "first": first, "second": second}))
+        late = sorted(mapped() - before)
+        seen = []
+        if late:
+            lib = ctypes.CDLL(late[0])
+            for call in montecarlo._OPENBLAS_THREAD_CALLS:
+                get = getattr(lib, call.format("get"), None)
+                set_threads = getattr(lib, call.format("set"), None)
+                if get is not None and set_threads is not None:
+                    break
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads(2)
+            real = montecarlo._observe
+
+            def observe(*args):
+                seen.append(get())
+                return real(*args)
+
+            montecarlo._observe = observe
+            cfg = ExperimentConfig(ExperimentKind.EP_CURVE, EnsembleTag.CUE,
+                                   StateMode.FIXED_PRODUCT, 2, 2, 2, 600, 5)
+            run_experiment(cfg, parallelism=2)
+        print(json.dumps({"late": late, "seen": seen}))
         """))
     src = str(Path(entpower.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -393,11 +404,9 @@ def test_blas_pin_finds_a_library_loaded_after_a_run(tmp_path):
         pytest.skip("no process map to read")
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
-    if len(seen["after"]) == len(seen["before"]):
-        pytest.skip("importing scipy.linalg mapped no new OpenBLAS")
-    assert len(seen["first"]) == len(seen["before"])
-    assert sorted(seen["second"]) == sorted(os.path.basename(p) for p in seen["after"])
-    assert all(counts["run"] == 1 for counts in seen["second"].values())
+    if not seen["late"]:
+        pytest.skip("importing scipy.linalg mapped no second OpenBLAS")
+    assert seen["seen"] and all(count == 2 for count in seen["seen"])
 
 
 def test_parallel_run_needs_no_main_guard(tmp_path):
