@@ -24,12 +24,12 @@ of a stack of unitaries, and the observables (entropy curves, operator
 curves, asymptotic averages, form factors) take a block.  A single
 unitary ``u`` is a stack of one, ``decompose_block(u[None], dims)``.
 
-The curves take every e^{i n phi_k} from :func:`_phase_powers`.
-States synthesise orbit columns, U^n psi = sum_k z_k <z_k|psi>
-e^{i n phi_k}, one column per n, stacked over the block.  Operators
-synthesise the Choi vectors vec(U^n) / sqrt(d) n-major, one row per n,
-as the weights e^{i n phi_k} / sqrt(d) times the Choi rows of the
-eigenprojectors |z_k><z_k|, so that their purities take BLAS.
+The curves take every e^{i n phi_k} from one :func:`_phase_powers`
+table per block.  States synthesise orbit columns, U^n psi = sum_k z_k
+<z_k|psi> e^{i n phi_k}, one column per n, stacked over the block.
+Operators synthesise the Choi vectors vec(U^n) / sqrt(d) n-major, one
+row per n, as the weights e^{i n phi_k} / sqrt(d) times the Choi rows
+of the eigenprojectors |z_k><z_k|, so that their purities take BLAS.
 :func:`matrix_power` reconstructs one power of every unitary of a block,
 U^n = Z e^{i n phi} Z^dag.  The curves keep the power table, the orbits
 and the Choi rows and product in the calling thread's scratch arrays,
@@ -269,10 +269,10 @@ def operator_curves(block: SpectralBlock, n_max: int) -> np.ndarray:
     Choi vectors come out n-major, as the rows of one
     (n_max, d) x (d, d^2) product of the weights e^{i n phi_j} / sqrt(d)
     with the rows vec R(|z_j><z_j|), so that every reduced density of
-    the purity is a contiguous block.  Memory stays
-    O(d^3 + d^2 n_max) per unitary, d projector rows and n_max Choi
-    rows of length d^2: the unitaries of a block are taken one at a
-    time, through the calling thread's scratch arrays.
+    the purity is a contiguous block.  Memory stays O(d^3 + d^2 n_max)
+    per unitary, d projector rows and n_max Choi rows of length d^2,
+    taken one unitary at a time, plus the block's k d n_max power table,
+    all in the calling thread's scratch arrays.
 
     Only ``run_experiment`` holds OpenBLAS at one thread.  Called
     directly, the Choi product can wake a second BLAS thread for a loss:
@@ -281,7 +281,6 @@ def operator_curves(block: SpectralBlock, n_max: int) -> np.ndarray:
     """
     _check_n_max(n_max)
     d_a, d_b, d = block.dims.d_a, block.dims.d_b, block.dims.d
-    ns = range(1, n_max + 1)
     curves = np.empty((len(block.phases), n_max))
     # the outer products are written fastest with j innermost, the order z.T
     # keeps in memory (a third faster than C order at 4x5), and the Choi
@@ -290,11 +289,13 @@ def operator_curves(block: SpectralBlock, n_max: int) -> np.ndarray:
     products = outer.transpose(4, 0, 1, 2, 3)
     rows = outer.reshape(d * d, d).T
     choi = _scratch("choi", (n_max, d * d))
-    for i, (phases, z) in enumerate(zip(block.phases, block.vectors)):
+    # the weights of the whole block, one table; weights[i].T is unitary i's (n_max, d)
+    weights = _phase_powers(block.phases, range(1, n_max + 1))
+    weights *= d ** -0.5
+    for i, z in enumerate(block.vectors):
         # row j is z_j[a1 b1] conj(z_j[a2 b2]) at (a1 a2 | b1 b2)
         np.multiply(z.T.reshape(d, d_a, 1, d_b, 1), z.T.conj().reshape(d, 1, d_a, 1, d_b), out=products)
-        weights = _phase_powers(phases, ns).T * d ** -0.5
-        np.matmul(weights, rows, out=choi)
+        np.matmul(weights[i].T, rows, out=choi)
         curves[i] = 1.0 - purity_batch(choi.T, d_a * d_a, d_b * d_b)
     return curves
 

@@ -107,25 +107,28 @@ def _unitaries(ensemble: EnsembleTag, normals: np.ndarray) -> np.ndarray:
     """CUE or COE draws from Ginibre normals (k, 2, d, d), real then imaginary part, as (k, d, d).
 
     CUE: QR of complex Ginibre matrices, with the phases of each R
-    diagonal pushed into Q (Mezzadri, Notices AMS 54, 592 (2007)).
-    Without that rescaling the distribution of Q is not Haar (it
-    depends on the sign/phase convention of the QR routine).  COE:
-    U = W W^T with W Haar, symmetrized as (P + P^T) / 2 so the entries
-    are bitwise symmetric, which floating point matrix multiply does
-    not guarantee on its own.  One QR runs over the stack, and stacked
-    LAPACK and BLAS calls treat every matrix alone, so a draw does not
-    depend on the other matrices of the stack.
+    diagonal pushed into Q in place (Mezzadri, Notices AMS 54, 592
+    (2007)); without it Q is not Haar, but follows the QR routine's
+    phase convention.  COE: U = W W^T with W Haar, symmetrized as
+    (P + P^T) / 2 so the entries are bitwise symmetric, which floating
+    point matrix multiply does not guarantee on its own.  One QR runs
+    over the stack, and stacked LAPACK and BLAS calls treat every matrix
+    alone, so a draw does not depend on the other matrices of the stack.
     """
     if ensemble not in (EnsembleTag.CUE, EnsembleTag.COE):
         raise ValueError(f"ensemble must be CUE or COE, got {ensemble}")
-    z = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
+    z = np.empty(normals.shape[:1] + normals.shape[2:], dtype=np.complex128)
+    # the bits of (x + iy) / sqrt 2: numpy divides a complex by a real as a
+    # multiply by 1 / (sqrt 2 + 0 * 0)
+    np.multiply(normals[:, 0], 1.0 / np.sqrt(2.0), out=z.real)
+    np.multiply(normals[:, 1], 1.0 / np.sqrt(2.0), out=z.imag)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    w = q * (diag / np.abs(diag))[:, None, :]
+    q *= (diag / np.abs(diag))[:, None, :]
     if ensemble is EnsembleTag.CUE:
-        return w
-    p = w @ w.swapaxes(-1, -2)
-    return (p + p.swapaxes(-1, -2)) / 2.0
+        return q
+    p = q @ q.swapaxes(-1, -2)
+    return np.divide(p + p.swapaxes(-1, -2), 2.0, out=p)
 
 
 def _state_width(d: int, field_tag: FieldTag) -> int:

@@ -119,17 +119,20 @@ def test_chunk_partition_invariance(monkeypatch, kind, state):
         assert abs(a.stderr - b.stderr) < 1e-12
 
 
-@pytest.mark.parametrize("kind,ensemble,state", [
-    (ExperimentKind.EP_CURVE, EnsembleTag.CUE, StateMode.FIXED_PRODUCT),
-    (ExperimentKind.EP_CURVE, EnsembleTag.COE, StateMode.RANDOM_COMPLEX_PRODUCT),
-    (ExperimentKind.OPENT_CURVE, EnsembleTag.CUE, StateMode.NONE),
-    (ExperimentKind.FOURTH_MOMENT, EnsembleTag.CUE, StateMode.NONE),
-    (ExperimentKind.ASYMPTOTIC, EnsembleTag.COE, StateMode.RANDOM_REAL_PRODUCT),
-], ids=["ep-cue", "ep-coe-complex", "opent", "fourth-moment", "asym-coe-real"])
-def test_rows_independent_of_block_size(monkeypatch, kind, ensemble, state):
-    # 37 samples: two full blocks of 16 and a remainder of 5
+@pytest.mark.parametrize("kind,ensemble,state,shape", [
+    (ExperimentKind.EP_CURVE, EnsembleTag.CUE, StateMode.FIXED_PRODUCT, (2, 3, 6)),
+    (ExperimentKind.EP_CURVE, EnsembleTag.COE, StateMode.RANDOM_COMPLEX_PRODUCT, (2, 3, 6)),
+    (ExperimentKind.OPENT_CURVE, EnsembleTag.CUE, StateMode.NONE, (2, 3, 6)),
+    (ExperimentKind.OPENT_CURVE, EnsembleTag.CUE, StateMode.NONE, (4, 5, 40)),
+    (ExperimentKind.FOURTH_MOMENT, EnsembleTag.CUE, StateMode.NONE, (2, 3, 6)),
+    (ExperimentKind.ASYMPTOTIC, EnsembleTag.COE, StateMode.RANDOM_REAL_PRODUCT, (2, 3, 1)),
+], ids=["ep-cue", "ep-coe-complex", "opent", "opent-4x5", "fourth-moment", "asym-coe-real"])
+def test_rows_independent_of_block_size(monkeypatch, kind, ensemble, state, shape):
+    # 37 samples: two full blocks of 16 and a remainder of 5; shape is (d_a, d_b, n_max),
+    # and 4x5 to n_max 40 is the benchmark's operator curve
+    d_a, d_b, n_max = shape
     cfg = small_config(kind=kind, ensemble=ensemble, state_mode=state, samples=37,
-                       n_max=1 if kind is ExperimentKind.ASYMPTOTIC else 6)
+                       d_a=d_a, d_b=d_b, n_max=n_max)
     blocked = run_experiment(cfg).rows
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1)
     assert run_experiment(cfg).rows == blocked
@@ -157,16 +160,19 @@ def test_block_draws_equal_stream_draws_bitwise(monkeypatch, ensemble, state, fi
         return u, psi
 
     monkeypatch.setattr(montecarlo, "sample_block", recorded)
-    cfg = small_config(ensemble=ensemble, state_mode=state, d_a=2, d_b=3, n_max=2, samples=100)
-    run_experiment(cfg, parallelism=parallelism)
-    assert sorted(drawn) == list(range(cfg.samples))
-    for i, (u, psi) in drawn.items():
-        u_ref, psi_ref = oracles.stream_draw(cfg.master_seed, i, 2, 3, ensemble, field_tag)
-        assert np.array_equal(u, u_ref), i
-        if field_tag is None:
-            assert psi is None
-        else:
-            assert np.array_equal(psi, psi_ref), i
+    # d = 1, a small d and the benchmark's d = 20
+    for d_a, d_b in [(1, 1), (2, 3), (4, 5)]:
+        drawn.clear()
+        cfg = small_config(ensemble=ensemble, state_mode=state, d_a=d_a, d_b=d_b, n_max=2, samples=100)
+        run_experiment(cfg, parallelism=parallelism)
+        assert sorted(drawn) == list(range(cfg.samples))
+        for i, (u, psi) in drawn.items():
+            u_ref, psi_ref = oracles.stream_draw(cfg.master_seed, i, d_a, d_b, ensemble, field_tag)
+            assert np.array_equal(u, u_ref), (d_a, d_b, i)
+            if field_tag is None:
+                assert psi is None
+            else:
+                assert np.array_equal(psi, psi_ref), (d_a, d_b, i)
 
 
 def test_metadata_stage_timings_cover_wall_time():
