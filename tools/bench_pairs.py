@@ -1,7 +1,7 @@
 """Benchmark a change against its parent in alternating pairs and write a BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent HEAD --workloads opent-cue ep-cue:4 \
-        --seeds 24201-24212 --out BENCH_24.json --claim opent-cue:samples_per_ref
+        --seeds 1001-1012 --out BENCH_n.json --claim opent-cue:samples_per_ref
 
 Run from the root of a checkout.  The parent side is a `git archive` of
 the --parent rev, the change side a copy of the working tree's src/,
@@ -95,8 +95,9 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(values: list[float]) -> list[float]:
+    """[Q1, Q3]; a single value is both."""
     if len(values) < 2:
-        return [values[0], values[0]] if values else []
+        return values * 2
     q = statistics.quantiles(values, n=4)
     return [q[0], q[2]]
 
