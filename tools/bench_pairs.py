@@ -3,24 +3,31 @@
     python3 tools/bench_pairs.py --parent HEAD --workloads opent-cue ep-cue:4 \
         --seeds 1001-1012 --out BENCH_n.json --claim opent-cue:samples_per_ref
 
-Run from the root of a checkout.  The parent side is a `git archive` of
-the --parent rev, the change side a copy of the working tree's src/,
-perfbench/, BENCHMARK.json and pyproject.toml, each in a directory of
-its own under --workdir, so that neither side runs on the other's
-files or perfbench/out/.  Pair i runs `perfbench/run.py` once on each
-side with the i-th seed, the parent first on odd pairs (1, 3, ...) and
-the change first on even ones.  Pairs run in seed order, and each pair
-runs the workloads in the order given; a workload given as name:k runs
-in the first k pairs only.  Every result line is kept,
-with the side that ran first, the run's failed checks and its
-`setup_parts` from perfbench's run record.  Per workload and
-end-to-end metric of BENCHMARK.json, the summary holds each side's
-median and quartiles (statistics.quantiles, n = 4, exclusive method),
-the parent's quartile spread and the pairs the change won, in the
-direction the metric counts as better.  With --claim workload:metric,
-the summary also says whether that metric meets the rule for a gain:
-better on at least nine in ten pairs, and a median better by more
-than the parent's quartile spread.
+Run from the root of a checkout.  Both sides hold the same files in a
+temporary directory of their own: src/, perfbench/, BENCHMARK.json and
+pyproject.toml, taken by `git archive` from the --parent rev on the
+parent side and copied from the working tree on the change side, so
+that neither side runs on the other's files or perfbench/out/ and
+neither is laid out differently.  Pair i runs `perfbench/run.py` once
+on each side with the i-th seed for BENCHMARK.json's run_seconds, the
+parent first on odd pairs (1, 3, ...) and the change first on even
+ones.  Pairs run in seed order, and each pair runs the workloads in the
+order given; a workload given as name:k runs in the first k pairs only.
+Every result line is kept, with the side that ran first, the run's
+failed checks and its `setup_parts` from perfbench's run record.
+
+Per workload and end-to-end metric of BENCHMARK.json, the summary holds
+each side's median and quartiles (statistics.quantiles, n = 4,
+exclusive method), the parent's quartile spread, the pairs the change
+won in the direction the metric counts as better, whether the change's
+median is worse than the parent's by more than the metric's relative
+bound, and whether the metric is unresolved: the parent's quartile
+spread exceeds the bound relative to its median and the change did not
+win every pair.  With --claim workload:metric, the report says whether
+that gain holds: at least ten pairs, better on at least nine in ten of
+them, a median better by more than the parent's quartile spread, no
+larger share of failed operations and no fewer correct runs than the
+parent on any workload, and no metric worse beyond its bound anywhere.
 """
 
 from __future__ import annotations
@@ -36,9 +43,10 @@ import sys
 import tempfile
 from importlib.metadata import version
 
-CHANGE_FILES = ("src", "perfbench", "BENCHMARK.json", "pyproject.toml")
+SIDE_FILES = ("src", "perfbench", "BENCHMARK.json", "pyproject.toml")
 IGNORED = shutil.ignore_patterns("out", "__pycache__", "*.pyc")
 SIDES = ("parent", "change")
+MIN_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -55,14 +63,14 @@ def git(*args: str) -> str:
 
 
 def prepare(parent: str, workdir: str) -> dict[str, str]:
-    """The directories of the two sides: a git archive of the parent rev, a copy of the working tree."""
+    """The two sides' directories, each holding SIDE_FILES: the parent rev's and the working tree's."""
     dirs = {side: os.path.join(workdir, side) for side in SIDES}
     for path in dirs.values():
-        shutil.rmtree(path, ignore_errors=True)
         os.makedirs(path)
-    archive = subprocess.run(["git", "archive", parent], check=True, capture_output=True).stdout
+    archive = subprocess.run(["git", "archive", parent, "--", *SIDE_FILES],
+                             check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dirs["parent"]], input=archive, check=True)
-    for name in CHANGE_FILES:
+    for name in SIDE_FILES:
         if os.path.isdir(name):
             shutil.copytree(name, os.path.join(dirs["change"], name), ignore=IGNORED)
         else:
@@ -102,8 +110,8 @@ def quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
-def summarise(runs: list[dict], metrics: list[dict], claim: tuple[str, str] | None) -> dict:
-    """Per workload: run health, and per metric the medians, quartiles and pairs won."""
+def summarise(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per workload: run health, and per metric the medians, quartiles, pairs won and bound checks."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -114,32 +122,61 @@ def summarise(runs: list[dict], metrics: list[dict], claim: tuple[str, str] | No
         entry = {
             "pairs": len(pairs),
             "correct_runs": {s: sum(r["correct"] for r in mine if r["side"] == s) for s in SIDES},
+            "attempted_operations": {s: sum(r["attempted"] for r in mine if r["side"] == s) for s in SIDES},
             "failed_operations": {s: sum(r["failed"] for r in mine if r["side"] == s) for s in SIDES},
         }
         for metric in metrics:
-            name, lower = metric["name"], metric["better"] == "lower"
+            name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
             both = [p for p in pairs if all(name in p[s]["metrics"] for s in SIDES)]
             if not both:
                 continue
             values = {s: [p[s]["metrics"][name] for p in both] for s in SIDES}
             q = {s: quartiles(values[s]) for s in SIDES}
             won = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
-            stats = {
-                "parent_median": statistics.median(values["parent"]),
-                "change_median": statistics.median(values["change"]),
+            median = {s: statistics.median(values[s]) for s in SIDES}
+            spread = q["parent"][1] - q["parent"][0]
+            worse = (median["change"] - median["parent"]) * (1 if lower else -1)
+            entry[name] = {
+                "parent_median": median["parent"],
+                "change_median": median["change"],
                 "parent_quartiles": q["parent"],
                 "change_quartiles": q["change"],
-                "parent_quartile_spread": q["parent"][1] - q["parent"][0],
+                "parent_quartile_spread": spread,
+                "pairs": len(both),
                 "pairs_won_by_change": won,
-                "bound": metric.get("bound"),
+                "bound": bound,
+                "worse_beyond_bound": worse > bound * abs(median["parent"]),
+                "unresolved": spread > bound * abs(median["parent"]) and won < len(both),
             }
-            if claim == (workload, name):
-                gain = stats["change_median"] - stats["parent_median"]
-                stats["claim_met"] = (10 * won >= 9 * len(both)
-                                      and (-gain if lower else gain) > stats["parent_quartile_spread"])
-            entry[name] = stats
         summary[workload] = entry
     return summary
+
+
+def claim_verdict(summary: dict, metrics: list[dict], workload: str, metric: str) -> dict:
+    """Whether the change's claimed gain on workload:metric holds, and the conditions it misses."""
+    missed = []
+    stats = summary.get(workload, {}).get(metric)
+    if stats is None:
+        missed.append(f"no pairs of {workload}:{metric}")
+    else:
+        lower = next(m["better"] == "lower" for m in metrics if m["name"] == metric)
+        gain = (stats["change_median"] - stats["parent_median"]) * (-1 if lower else 1)
+        if stats["pairs"] < MIN_PAIRS:
+            missed.append(f"{stats['pairs']} pairs, fewer than {MIN_PAIRS}")
+        if 10 * stats["pairs_won_by_change"] < 9 * stats["pairs"]:
+            missed.append(f"won {stats['pairs_won_by_change']} of {stats['pairs']} pairs")
+        if gain <= stats["parent_quartile_spread"]:
+            missed.append("median gain not beyond the parent's quartile spread")
+    for name, entry in summary.items():
+        correct, attempted, failed = (entry[k] for k in
+                                      ("correct_runs", "attempted_operations", "failed_operations"))
+        if correct["change"] < correct["parent"]:
+            missed.append(f"{name}: fewer correct runs than the parent")
+        if failed["change"] * max(attempted["parent"], 1) > failed["parent"] * max(attempted["change"], 1):
+            missed.append(f"{name}: a larger share of failed operations than the parent")
+        missed += [f"{name}:{m} worse beyond its bound" for m, stats in entry.items()
+                   if isinstance(stats, dict) and stats.get("worse_beyond_bound")]
+    return {"workload": workload, "metric": metric, "met": not missed, "missed": missed}
 
 
 def main(argv=None) -> int:
@@ -147,44 +184,45 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="git rev of the parent side")
     p.add_argument("--workloads", nargs="+", required=True, help="name, or name:k for the first k pairs")
     p.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 24201-24212 or 1,3,5")
-    p.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json's run_seconds")
     p.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
-    p.add_argument("--what", default="Alternating parent/change pairs of untraced perfbench runs")
     p.add_argument("--claim", default=None, help="workload:metric whose gain the change claims")
-    p.add_argument("--workdir", default=None, help="where the two sides are laid out (default: a temp dir)")
     args = p.parse_args(argv)
 
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    seconds = args.seconds or benchmark["run_seconds"]
-    claim = tuple(args.claim.split(":", 1)) if args.claim else None
+    seconds = benchmark["run_seconds"]
     workloads = {}
     for spec in args.workloads:
         name, _, pairs = spec.partition(":")
         workloads[name] = int(pairs) if pairs else len(args.seeds)
     parent_sha = git("rev-parse", args.parent)
-    workdir = args.workdir or tempfile.mkdtemp(prefix="bench-pairs-")
-    dirs = prepare(args.parent, workdir)
-    runs = []
-    for i, seed in enumerate(args.seeds, start=1):
-        order = SIDES if i % 2 else SIDES[::-1]
-        for workload in [w for w, pairs in workloads.items() if i <= pairs]:
-            for side in order:
-                run = {"workload": workload, "seed": seed, "pair": i, "side": side,
-                       "ran_first": side == order[0]}
-                run.update(run_once(dirs[side], workload, seed, seconds))
-                runs.append(run)
-                print(json.dumps({k: run[k] for k in ("workload", "seed", "side", "correct", "metrics")}),
-                      file=sys.stderr, flush=True)
+    workdir = tempfile.mkdtemp(prefix="bench-pairs-")
+    try:
+        dirs = prepare(args.parent, workdir)
+        runs = []
+        for i, seed in enumerate(args.seeds, start=1):
+            order = SIDES if i % 2 else SIDES[::-1]
+            for workload in [w for w, pairs in workloads.items() if i <= pairs]:
+                for side in order:
+                    run = {"workload": workload, "seed": seed, "pair": i, "side": side,
+                           "ran_first": side == order[0]}
+                    run.update(run_once(dirs[side], workload, seed, seconds))
+                    runs.append(run)
+                    print(json.dumps({k: run[k] for k in ("workload", "seed", "side", "correct", "metrics")}),
+                          file=sys.stderr, flush=True)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    summary = summarise(runs, benchmark["end_to_end"])
     report = {
-        "what": args.what,
+        "what": "Alternating parent/change pairs of untraced perfbench runs"
+                + (f", claiming a gain on {args.claim}" if args.claim else ""),
         "command": f"OPENBLAS_NUM_THREADS=1 python3 perfbench/run.py --workload <workload> "
                    f"--seed <seed> --seconds {seconds:g} --trace 0",
         "commits": {
             "parent": parent_sha,
             "change": f"the working tree over {git('rev-parse', 'HEAD')}",
-            "how": "the parent is a git archive; the change is a copy of "
-                   + ", ".join(CHANGE_FILES) + " of the working tree",
+            "how": "each side holds " + ", ".join(SIDE_FILES) + " in a directory of its own: "
+                   "the parent's from a git archive of its rev, the change's copied from the working tree",
         },
         "protocol": {
             "pairs": workloads,
@@ -193,18 +231,20 @@ def main(argv=None) -> int:
                      "its workloads in the listed order; pair i uses the i-th seed on both sides",
             "run_seconds": seconds,
             "quartiles": "statistics.quantiles(n=4), exclusive method",
+            "unresolved": "the parent's quartile spread exceeds the metric's bound relative to "
+                          "its median, and the change did not win every pair",
             "host": f"{os.cpu_count()} cores, Python {platform.python_version()}, "
                     f"numpy {version('numpy')}",
         },
-        "claim": args.claim,
-        "summary": summarise(runs, benchmark["end_to_end"], claim),
-        "runs": runs,
+        "unresolved": [f"{w}:{m}" for w, entry in summary.items() for m, stats in entry.items()
+                       if isinstance(stats, dict) and stats.get("unresolved")],
     }
+    if args.claim:
+        report["claim"] = claim_verdict(summary, benchmark["end_to_end"], *args.claim.split(":", 1))
+    report.update(summary=summary, runs=runs)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    if not args.workdir:
-        shutil.rmtree(workdir, ignore_errors=True)
     return 0
 
 
